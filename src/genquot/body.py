@@ -136,40 +136,35 @@ def _solve_gauge_subset(body: RandomQuotientBody, x: np.ndarray, subset: np.ndar
                     start_basis=start_basis)
 
 
-def _global_labels(subset: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    # restricted column i is (+, subset[i]) for i < |S|, else (-, subset[i - |S|]);
-    # globals are j for + and N + j for - (caller supplies its own N split)
+# Gauge LP labels: global label j < N is the column +g_j and N + j is -g_j, the
+# layout of the full LP [Gamma, -Gamma]; over a sorted column subset S the
+# restricted LP [Gamma_S, -Gamma_S] numbers its columns the same way with |S|.
+
+def _global_labels(subset: np.ndarray, basis: np.ndarray, big_n: int) -> np.ndarray:
     ns = subset.size
-    plus = basis < ns
-    out = np.empty(basis.size, dtype=np.int64)
-    out[plus] = subset[basis[plus]]
-    out[~plus] = -1 - subset[basis[~plus] - ns]  # negative encoding for the minus copy
-    return out
+    return subset[basis % ns] + big_n * (basis >= ns)
 
 
-def _restricted_labels(subset: np.ndarray, labels: np.ndarray) -> np.ndarray | None:
-    ns = subset.size
-    pos = {int(j): i for i, j in enumerate(subset)}
-    out = np.empty(labels.size, dtype=np.int64)
-    for i, lab in enumerate(labels):
-        if lab >= 0:
-            out[i] = pos[int(lab)]
-        else:
-            out[i] = ns + pos[int(-1 - lab)]
-    return out
+def _restricted_labels(subset: np.ndarray, labels: np.ndarray, big_n: int) -> np.ndarray:
+    # every labelled column must lie in subset
+    return np.searchsorted(subset, labels % big_n) + subset.size * (labels >= big_n)
 
 
-def _gauge_lp(body: RandomQuotientBody, x: np.ndarray) -> LPSolution:
+def _gauge_lp(body: RandomQuotientBody, x: np.ndarray,
+              start_basis: np.ndarray | None = None) -> LPSolution:
     """min ||t||_1 s.t. Gamma t = x, via t = t+ - t-, both >= 0.
 
     Solved by delayed column generation: optimize over a working subset of
     columns, then admit columns whose dual constraint |<g_j, y>| <= 1 is
     violated; when none is violated the restricted optimum is certified
     optimal for the full problem (the omitted variables price out).
+    start_basis (global labels, see above) is an optional warm start; the
+    returned basis carries global labels too.
     """
     if 2 * body.N <= 1024:
         a = np.hstack([body.gamma, -body.gamma])
-        sol = solve_lp(LPProblem(constraint_matrix=a, rhs=x, objective=np.ones(2 * body.N)))
+        sol = solve_lp(LPProblem(constraint_matrix=a, rhs=x, objective=np.ones(2 * body.N)),
+                       start_basis=start_basis)
         if sol.status == "infeasible":
             raise NotInSpan("point lies outside the column span of gamma")
         if sol.status != "optimal":  # pragma: no cover - gauge LP is bounded below by 0
@@ -180,21 +175,25 @@ def _gauge_lp(body: RandomQuotientBody, x: np.ndarray) -> LPSolution:
     order = np.argsort(-correlation, kind="stable")
     take = min(body.N, max(4 * body.n, 64))
     subset = np.sort(order[:take])
-    warm_labels: np.ndarray | None = None
+    warm_labels = start_basis
+    if warm_labels is not None:
+        subset = np.union1d(subset, warm_labels % body.N)
     for _ in range(60):
-        start = _restricted_labels(subset, warm_labels) if warm_labels is not None else None
+        start = (_restricted_labels(subset, warm_labels, body.N)
+                 if warm_labels is not None else None)
         sol = _solve_gauge_subset(body, x, subset, start_basis=start)
         if sol.status == "infeasible":
             if subset.size == body.N:
                 raise NotInSpan("point lies outside the column span of gamma")
             take = min(body.N, 2 * take)
-            subset = np.sort(order[:take])
+            subset = np.union1d(subset, order[:take])
             continue
         if sol.status != "optimal":  # pragma: no cover
             raise NumericError(f"gauge LP ended with status {sol.status}")
         slack = np.abs(sol.dual_point @ body.gamma) - 1.0
         slack[subset] = 0.0
         violated = np.flatnonzero(slack > 1e-9)
+        warm_labels = _global_labels(subset, sol.basis, body.N)
         if violated.size == 0:
             ns = subset.size
             point = np.zeros(2 * body.N)
@@ -202,11 +201,52 @@ def _gauge_lp(body: RandomQuotientBody, x: np.ndarray) -> LPSolution:
             point[body.N + subset] = sol.point[ns:]
             return LPSolution(status="optimal", point=point,
                               objective_value=sol.objective_value,
-                              dual_point=sol.dual_point, iterations=sol.iterations)
+                              dual_point=sol.dual_point, iterations=sol.iterations,
+                              basis=warm_labels)
         worst = violated[np.argsort(-slack[violated], kind="stable")]
-        warm_labels = _global_labels(subset, sol.basis)
         subset = np.union1d(subset, worst[: max(body.n, 32)])
     raise NumericError("gauge column generation did not converge")  # pragma: no cover
+
+
+def _max_gauge(body: RandomQuotientBody, points: np.ndarray) -> float:
+    """max_i ||x_i||_B over the rows x_i of points; the value is an LP objective.
+
+    Exact pruning: lower_i = max(||x_i||_2 / R, |<x_i, y>| over the optimal
+    duals y found so far) only orders the solves, largest first; upper_i =
+    min over the optimal column sets S found so far of ||Gamma_S^-1 x_i||_1,
+    the cost of an l1 representation of x_i in the columns +-g_j. A point
+    whose upper bound is at most the best LP value found is never solved.
+
+    Warm start: the columns come in +- pairs, so the column set S of any
+    optimal basis gives a primal-feasible basis for every right-hand side x,
+    label j where (Gamma_S^-1 x)_j >= 0 and N + j elsewhere. Each point starts
+    from the set that gives its upper bound; solve_lp falls back to phase 1
+    when that basis is not usable.
+    """
+    pts = points[np.any(points, axis=1)]
+    if pts.shape[0] == 0:
+        return 0.0
+    lower = np.linalg.norm(pts, axis=1) / body.circumradius
+    upper = np.full(pts.shape[0], np.inf)
+    starts = np.zeros(pts.shape, dtype=np.int64)
+    unsolved = np.ones(pts.shape[0], dtype=bool)
+    best = 0.0
+    while True:
+        unsolved &= upper > best
+        if not unsolved.any():
+            return best
+        i = int(np.argmax(np.where(unsolved, lower, -np.inf)))
+        unsolved[i] = False
+        sol = _gauge_lp(body, pts[i], starts[i] if np.isfinite(upper[i]) else None)
+        best = max(best, float(sol.objective_value))
+        np.maximum(lower, np.abs(pts @ sol.dual_point), out=lower)
+        idx = np.flatnonzero(unsolved)
+        cols = np.sort(sol.basis % body.N)
+        coeffs = np.linalg.solve(body.gamma[:, cols], pts[idx].T).T
+        cost = np.abs(coeffs).sum(axis=1)
+        better = cost < upper[idx]
+        upper[idx[better]] = cost[better]
+        starts[idx[better]] = np.where(coeffs[better] >= 0, cols, cols + body.N)
 
 
 def body_norm_with_dual(body: RandomQuotientBody, x) -> tuple[float, np.ndarray]:
@@ -253,24 +293,31 @@ def dual_norm_many(body: RandomQuotientBody, us) -> np.ndarray:
 
 
 def operator_norm(body: RandomQuotientBody, t) -> float:
-    """||T: X_n -> X_n|| = max_j ||T g_j||_B, exact on the hull's extreme points."""
+    """||T: X_n -> X_n|| = max_j ||T g_j||_B, exact on the hull's extreme points.
+
+    The maximum runs through _max_gauge: images whose upper bound cannot beat
+    the best gauge found are pruned, the rest are solved largest lower bound
+    first, each warm-started from a sign-flipped optimal basis of an earlier
+    solve. The result is the objective of one of those LPs.
+    """
     tm = as_matrix(t, "T")
     if tm.shape != (body.n, body.n):
         raise UsageError(f"T must be {body.n}x{body.n}, got {tm.shape}")
-    images = (tm @ body.gamma).T
-    return float(max(body_norm(body, img) for img in images))
+    return _max_gauge(body, (tm @ body.gamma).T)
 
 
 def max_gauge_in_span(body: RandomQuotientBody, basis: np.ndarray,
                       points: np.ndarray) -> float:
-    """max gauge over points known to lie in span(basis).
+    """max gauge over points (rows) known to lie in span(basis).
 
     A 1-dimensional span needs a single LP: gauge is homogeneous on a line.
+    Otherwise the pruned, warm-started maximum of _max_gauge (as in
+    operator_norm) gives the exact maximum with LP objectives.
     """
     if basis.shape[1] == 1:
         coeffs = basis[:, 0] @ points.T
         return float(np.max(np.abs(coeffs)) * body_norm(body, basis[:, 0]))
-    return float(body_norm_many(body, points).max())
+    return _max_gauge(body, points)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +526,10 @@ def parse_body(text: str) -> RandomQuotientBody:
     tokens = lines[0].split()
     if len(tokens) != 6:
         raise IoError("<string>", f"malformed body header {lines[0]!r}")
-    n, big_n, ms, si = (int(t) for t in tokens[2:])
+    try:
+        n, big_n, ms, si = (int(t) for t in tokens[2:])
+    except ValueError as exc:
+        raise IoError("<string>", f"non-integer body header field: {exc}") from exc
     gamma = parse_matrix("\n".join(lines[1:]))
     if gamma.shape != (n, big_n):
         raise IoError("<string>", f"header says {n}x{big_n}, matrix is {gamma.shape}")

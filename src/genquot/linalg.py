@@ -88,11 +88,6 @@ def svd(m) -> SvdResult:
     return SvdResult(left_basis=u, singular_values=s, right_basis=vt.T)
 
 
-def singular_values(m) -> np.ndarray:
-    a = as_matrix(m)
-    return np.linalg.svd(a, compute_uv=False)
-
-
 def orthonormalize(vectors: Sequence, tol: float = DEFAULT_DROP_TOL) -> OrthoResult:
     """Modified Gram-Schmidt with one re-orthogonalization pass.
 
@@ -181,7 +176,10 @@ def parse_matrix(text: str) -> np.ndarray:
         vals = ln.split()
         if len(vals) != cols:
             raise IoError("<string>", f"row {i} has {len(vals)} entries, expected {cols}")
-        data[i] = [float(v) for v in vals]
+        try:
+            data[i] = [float(v) for v in vals]
+        except ValueError as exc:
+            raise IoError("<string>", f"row {i} has a non-numeric entry: {exc}") from exc
     return as_matrix(data, "parsed matrix")
 
 

@@ -295,6 +295,9 @@ def _phase2(a, a1, b, b1, b1p, sign, c, basis, binv, start_iters,
     if status == "unbounded":
         return LPSolution(status="unbounded", iterations=sim2.iterations)
 
+    # canonical order: x, y and the objective depend on the optimal basis set
+    # only, not on the pivot path that reached it
+    sim2.basis.sort()
     sim2.refactor()
     xb = sim2.binv @ b1
     x = np.zeros(v)

@@ -198,9 +198,10 @@ def _shift_scan(value_of: Callable[[float], float], window: float,
     vals = np.array([v for _, v in grid])
     i = int(np.argmin(vals))
     best_shift, best_value = grid[i]
+    # bracket by the regular spacing: an extra shift may sit a rounding error
+    # away from a grid point, and its neighbour would collapse the bracket
     span = 2.0 * window / max(grid_points - 1, 1)
-    lo = grid[i - 1][0] if i > 0 else max(best_shift - span, -window)
-    hi = grid[i + 1][0] if i < len(grid) - 1 else min(best_shift + span, window)
+    lo, hi = max(best_shift - span, -window), min(best_shift + span, window)
     gx, gv = _golden_min(value_of, lo, hi)
     if gv < best_value:
         best_shift, best_value = float(gx), float(gv)

@@ -1,8 +1,8 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the code paths they check: operator norms
-are brute-forced over angular nets with the polar-facet gauge, LP optima are
-recomputed by enumerating basic solutions, and Euclidean Gelfand numbers are
+are brute-forced over angular nets with the polar-facet gauge or recomputed
+with scipy's HiGHS, LP optima are recomputed by enumerating basic solutions, and Euclidean Gelfand numbers are
 minimized over dense sphere nets of subspaces.
 """
 
@@ -42,6 +42,21 @@ def angular_net_gauge_ratio(body, t, points: int = 10_000) -> float:
     num = gq.body_norm_many(body, dirs @ np.asarray(t).T)
     den = gq.body_norm_many(body, dirs)
     return float(np.max(num / den))
+
+
+def highs_max_gauge(gamma: np.ndarray, points: np.ndarray) -> float:
+    """max over the rows x of points of min ||t||_1 s.t. gamma t = x, by HiGHS."""
+    from scipy.optimize import linprog
+
+    a = np.hstack([gamma, -gamma])
+    cost = np.ones(a.shape[1])
+    best = 0.0
+    for x in points:
+        res = linprog(cost, A_eq=a, b_eq=x, bounds=(0, None), method="highs",
+                      options={"presolve": False})  # presolve only slows these
+        assert res.status == 0, res.message
+        best = max(best, float(res.fun))
+    return best
 
 
 def enumerate_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = 1e-9):

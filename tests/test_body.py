@@ -5,7 +5,10 @@ import pytest
 
 import genquot as gq
 
-from conftest import angular_net_gauge_ratio
+from genquot.body import _gauge_lp
+from genquot import linprog
+
+from conftest import angular_net_gauge_ratio, highs_max_gauge
 
 
 def seed(i, j=0):
@@ -152,6 +155,64 @@ class TestOperatorNorm:
         vals = [gq.body_norm(body, t @ body.gamma[:, j]) for j in range(body.N)]
         assert all(q >= v - 1e-8 for v in vals)
         assert q == pytest.approx(max(vals), abs=1e-10)
+
+
+def _operators(n: int, s: int) -> dict[str, np.ndarray]:
+    gauss = gq.gaussian_matrix(n, n, 1.0, seed(s, 1))
+    zero_col = gauss.copy()
+    zero_col[:, 0] = 0.0
+    return {
+        "gaussian": gauss,
+        "orthogonal": gq.haar_subspace(n, n, seed(s, 2)).basis,
+        "rank1": np.outer(gq.gaussian_vector(n, 1.0, seed(s, 3)),
+                          gq.gaussian_vector(n, 1.0, seed(s, 4))),
+        "zero_column": zero_col,
+        "zero": np.zeros((n, n)),
+    }
+
+
+class TestMaxGaugeKernel:
+    """operator_norm prunes and warm-starts; its value must be the cold maximum."""
+
+    @pytest.mark.parametrize("n,big_n", [(8, 16), (8, 64), (16, 32), (16, 128), (16, 256)])
+    def test_bit_identical_to_cold_maximum(self, n, big_n):
+        body = gq.make_body(n, big_n, seed(150, n * big_n))
+        for kind, t in _operators(n, 151 + big_n).items():
+            cold = max(gq.body_norm(body, x) for x in (t @ body.gamma).T)
+            assert gq.operator_norm(body, t) == cold, kind
+
+    def test_identity_ties_within_roundoff(self):
+        # every g_j has gauge exactly 1: the maximum is decided by roundoff
+        body = gq.make_body(16, 128, seed(152))
+        assert gq.operator_norm(body, np.eye(16)) == pytest.approx(1.0, rel=1e-13)
+
+    def test_column_generation_path_against_highs(self):
+        body = gq.make_body(24, 576, seed(153))  # 2N > 1024: column generation
+        t = gq.gaussian_matrix(24, 24, 1.0, seed(153, 1))
+        ref = highs_max_gauge(body.gamma, (t @ body.gamma).T)
+        assert gq.operator_norm(body, t) == pytest.approx(ref, rel=1e-9)
+
+    def test_duplicated_column_falls_back_to_phase_one(self, monkeypatch):
+        g = gq.gaussian_matrix(4, 10, 0.25, seed(154))
+        body = gq.body_from_matrix(np.hstack([g, g[:, :1]]))  # column 10 == column 0
+        x = gq.gaussian_vector(4, 1.0, seed(154, 1))
+        verdicts = []
+        warm_basis = linprog._warm_basis
+
+        def spy(*args):
+            verdicts.append(warm_basis(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(linprog, "_warm_basis", spy)
+        # a start on columns {0, 10, 1, 2} has a singular Gamma_S
+        sol = _gauge_lp(body, x, np.array([0, 10, 1, 2]))
+        assert verdicts == [None]
+        assert sol.objective_value == gq.body_norm(body, x)
+        t = gq.gaussian_matrix(4, 4, 1.0, seed(154, 2))
+        images = (t @ body.gamma).T
+        q = gq.operator_norm(body, t)
+        assert q == pytest.approx(max(gq.body_norm(body, x) for x in images), rel=1e-13)
+        assert q == pytest.approx(highs_max_gauge(body.gamma, images), rel=1e-9)
 
 
 class TestRadii:

@@ -129,6 +129,45 @@ def test_io_error_exits_2(tmp_path):
     assert main(["norm", "--body", str(tmp_path / "missing.mtx"), "--vec", "1,1"]) == 2
 
 
+def _assert_io_error_line(err: str):
+    # one message line after the config log line, never a traceback
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("genquot: i/o error:")
+
+
+@pytest.mark.parametrize("text", [
+    "[1.0, 2.0]",  # not an object
+    '{"prop_success_rate": "high"}',  # non-numeric value
+    '{"prop_success_rate": true}',
+    '{"prop_success_rate": NaN}',
+    '{"no_such_threshold": 1.0}',  # unknown key
+])
+def test_bad_thresholds_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "th.json"
+    path.write_text(text)
+    assert main(["verify", "hsbound", "--seed", "1", "--trials", "1",
+                 "--thresholds", str(path), "--threads", "1"]) == 2
+    _assert_io_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("text", [
+    "GENQUOT-BODY v1 2 3 0 0\n2 3\n1 0 1\n0 x 1\n",  # non-numeric entry
+    "GENQUOT-BODY v1 2 three 0 0\n2 3\n1 0 1\n0 1 1\n",  # non-integer header
+])
+def test_bad_body_file_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.mtx"
+    bad.write_text(text)
+    assert main(["norm", "--body", str(bad), "--vec", "1,1"]) == 2
+    _assert_io_error_line(capsys.readouterr().err)
+
+
+def test_bad_matrix_file_exits_2(body_file, tmp_path, capsys):
+    mpath = tmp_path / "t.mtx"
+    mpath.write_text("3 3\n1 0 0\n0 1 0\n0 0 one\n")
+    assert main(["opnorm", "--body", str(body_file), "--matrix", str(mpath)]) == 2
+    _assert_io_error_line(capsys.readouterr().err)
+
+
 def test_verify_writes_report_and_passes(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(["verify", "hsbound", "--trials", "3", "--seed", "7",

@@ -6,7 +6,7 @@ import pytest
 import genquot as gq
 from genquot.constructions import auto_l1_dim, auto_l2_dim
 
-from conftest import angular_net_gauge_ratio
+from conftest import angular_net_gauge_ratio, highs_max_gauge
 
 
 def seed(i, j=0):
@@ -154,6 +154,21 @@ class TestComplementationNorm:
         p = basis @ basis.T
         assert gq.complementation_norm(body, basis) == pytest.approx(
             gq.operator_norm(body, p), abs=1e-8)
+
+    @pytest.mark.parametrize("n,big_n", [(8, 16), (8, 64), (16, 128), (16, 256)])
+    def test_bit_identical_to_cold_maximum(self, n, big_n):
+        body = gq.make_body(n, big_n, seed(125, n * big_n))
+        for h in (2, 3, n // 2):
+            basis = gq.haar_subspace(n, h, seed(126, h)).basis
+            proj = basis @ (basis.T @ body.gamma)
+            cold = max(gq.body_norm(body, x) for x in proj.T)
+            assert gq.complementation_norm(body, basis) == cold, h
+
+    def test_column_generation_path_against_highs(self):
+        body = gq.make_body(24, 576, seed(127))  # 2N > 1024: column generation
+        basis = gq.haar_subspace(24, 3, seed(127, 1)).basis
+        ref = highs_max_gauge(body.gamma, (basis @ (basis.T @ body.gamma)).T)
+        assert gq.complementation_norm(body, basis) == pytest.approx(ref, rel=1e-9)
 
     def test_non_orthonormal_rejected(self):
         body = gq.make_body(3, 6, seed(124))

@@ -162,6 +162,26 @@ class TestGelfandSum:
         res = gq.gelfand_sum_bracket(body, t, rad=rad)
         assert res.sum_value <= np.sum(gq.euclidean_s_numbers(t)) + 1e-9
 
+    def test_refinement_stable_under_one_ulp_window_move(self):
+        # thm32 at seed 7, cell 8x64, trial 0: at the lower window a grid point
+        # lands at -3.55e-15, beside the extra shift 0.0; bracketing by grid
+        # neighbours then missed the minimizer near 0.00955
+        from scipy.optimize import minimize_scalar
+
+        body = gq.make_body(8, 64, seed(7))
+        t = gq.gaussian_matrix(8, 8, 1.0, seed(7).child(1))
+        rad = gq.radii(body, seed=seed(7).child(2))
+        q0 = 12.690647087798382
+        values = [gq.gelfand_sum_bracket(body, t, opnorm=q, rad=rad).sum_value
+                  for q in (q0, np.nextafter(q0, 0.0), np.nextafter(q0, np.inf))]
+        assert values[1] == pytest.approx(values[0], rel=1e-12)
+        assert values[2] == pytest.approx(values[0], rel=1e-12)
+        t0 = t - np.trace(t) / 8 * np.eye(8)
+        ref = minimize_scalar(lambda lam: np.linalg.svd(t0 - lam * np.eye(8), compute_uv=False).sum(),
+                              bounds=(-2 * q0, 2 * q0), method="bounded",
+                              options={"xatol": 1e-12})
+        assert max(values) <= ref.fun + 1e-12
+
 
 class TestMnWitness:
     def test_rotation_witness(self):
