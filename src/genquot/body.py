@@ -547,6 +547,10 @@ def save_body(body: RandomQuotientBody, path) -> None:
 def load_body(path) -> RandomQuotientBody:
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return parse_body(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise IoError(path, f"cannot read body: {exc}") from exc
+    try:
+        return parse_body(text)
+    except IoError as exc:
+        raise IoError(path, exc.message) from exc

@@ -48,6 +48,8 @@ from .sampler import SeedSpec
 from .snumbers import euclidean_s_numbers, gelfand_bracket, min_over_shifts
 
 DEFAULT_THRESHOLDS_PATH = "./genquot-thresholds.json"
+_THREADS_HELP = ("worker processes to run trials in (default $GENQUOT_THREADS, else the "
+                 "CPU count; 1 runs them inline); output bytes never depend on it")
 
 
 def _parse_seed(text: str) -> int:
@@ -159,13 +161,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out", help="write the report here")
     p.add_argument("--thresholds", default=None,
                    help=f"thresholds file (default {DEFAULT_THRESHOLDS_PATH} when present)")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     p = add("calibrate", help="fit construction thresholds and freeze them to a file")
     p.add_argument("--seed", type=_parse_seed, required=True)
     p.add_argument("--trials", type=int)
     p.add_argument("--out", default=DEFAULT_THRESHOLDS_PATH)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     return parser, registry
 

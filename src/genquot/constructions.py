@@ -158,43 +158,52 @@ def find_l1_subspace(body: RandomQuotientBody, k: int | None = None, retries: in
     if retries < 1:
         raise UsageError("retries must be >= 1")
 
-    leak_cap = 1.0 / np.sqrt(k)
-    last: tuple[str, str, dict] | None = None
+    last: ConditionFailed | None = None
     for attempt in range(retries):
         stream = seed.child(attempt)
-        rng = generator(stream)
-        a = np.sort(rng.choice(body.N, size=k, replace=False))
-        block = body.gamma[:, a]
-        normalized = block / body.column_norms[a]
-        # a wide block (k > n) cannot be injective: its k-th singular value is 0
-        sigma_min = 0.0 if k > body.n else float(
-            np.linalg.svd(normalized, compute_uv=False)[-1])
-        if sigma_min < el2_threshold:
-            last = ("el2", f"sigma_min {sigma_min:.6g} < {el2_threshold:g}",
-                    {"sigma_min": sigma_min, "threshold": el2_threshold, "k": k})
-            continue
-        basis = orthonormalize(block).basis
-        outside = np.setdiff1d(np.arange(body.N), a)
-        leaks = basis @ (basis.T @ body.gamma[:, outside])
-        max_leak = float(np.linalg.norm(leaks, axis=0).max()) if outside.size else 0.0
-        if max_leak > leak_cap:
-            last = ("fin", f"max_leak {max_leak:.6g} > k^(-1/2) = {leak_cap:.6g}",
-                    {"max_leak": max_leak, "threshold": leak_cap, "k": k})
-            continue
+        a = np.sort(generator(stream).choice(body.N, size=k, replace=False))
+        try:
+            return _measure_l1(body, a, stream, iso_samples, el2_threshold, 1.0 / np.sqrt(k))
+        except ConditionFailed as exc:
+            last = exc
+    raise ConditionFailed(last.tag, f"{last.message} after {retries} retries", last.measured)
 
-        u_norm = max(body_norm(body, body.gamma[:, j]) for j in a)
-        sup_ratio, inv_direct = _inverse_map_estimates(body, block, basis, iso_samples,
-                                                       stream.child(_ISO_STREAM_OFFSET))
-        inv_bound = min(np.sqrt(k) / sigma_min * sup_ratio, inv_direct)
-        iso = max(1.0, u_norm * inv_bound)
-        compl = complementation_norm(body, basis)
-        return L1Witness(index_set=tuple(int(j) for j in a), basis=basis,
-                         sigma_min=sigma_min, max_leak=max_leak,
-                         iso_constant=float(iso), compl_constant=compl, seed=stream,
-                         iso_samples=iso_samples)
-    tag, msg, measured = last if last is not None else (
-        "el2", "no retry executed", {})
-    raise ConditionFailed(tag, f"{msg} after {retries} retries", measured)
+
+def _measure_l1(body: RandomQuotientBody, a: np.ndarray, stream: SeedSpec, iso_samples: int,
+                el2_threshold: float = 0.0, leak_cap: float = np.inf) -> L1Witness:
+    """Measure the column block a, sampling on `stream`.
+
+    Raises ConditionFailed ("el2" or "fin") when sigma_min < el2_threshold or
+    max_leak > leak_cap. The search and verify_witness both measure here, so
+    a re-measured witness matches the stored one bit for bit.
+    """
+    k = len(a)
+    block = body.gamma[:, a]
+    normalized = block / body.column_norms[a]
+    # a wide block (k > n) cannot be injective: its k-th singular value is 0
+    sigma_min = 0.0 if k > body.n else float(
+        np.linalg.svd(normalized, compute_uv=False)[-1])
+    if sigma_min < el2_threshold:
+        raise ConditionFailed("el2", f"sigma_min {sigma_min:.6g} < {el2_threshold:g}",
+                              {"sigma_min": sigma_min, "threshold": el2_threshold, "k": k})
+    basis = orthonormalize(block).basis
+    outside = np.setdiff1d(np.arange(body.N), a)
+    leaks = basis @ (basis.T @ body.gamma[:, outside])
+    max_leak = float(np.linalg.norm(leaks, axis=0).max()) if outside.size else 0.0
+    if max_leak > leak_cap:
+        raise ConditionFailed("fin", f"max_leak {max_leak:.6g} > k^(-1/2) = {leak_cap:.6g}",
+                              {"max_leak": max_leak, "threshold": leak_cap, "k": k})
+
+    u_norm = max(body_norm(body, body.gamma[:, j]) for j in a)
+    sup_ratio, inv_direct = _inverse_map_estimates(body, block, basis, iso_samples,
+                                                   stream.child(_ISO_STREAM_OFFSET))
+    inv_bound = min(np.sqrt(k) / sigma_min * sup_ratio, inv_direct)
+    iso = max(1.0, u_norm * inv_bound)
+    compl = complementation_norm(body, basis)
+    return L1Witness(index_set=tuple(int(j) for j in a), basis=basis,
+                     sigma_min=sigma_min, max_leak=max_leak,
+                     iso_constant=float(iso), compl_constant=compl, seed=stream,
+                     iso_samples=iso_samples)
 
 
 def find_l2_subspace(body: RandomQuotientBody, h: int | None = None,
@@ -228,7 +237,13 @@ def find_l2_subspace(body: RandomQuotientBody, h: int | None = None,
         h = auto_l2_dim(n, big_n, c_cal)
     if not 1 <= h <= n:
         raise UsageError(f"need 1 <= h <= n={n}, got h={h}")
-    sub = haar_subspace(n, h, seed)
+    return _measure_l2(body, haar_subspace(n, h, seed), seed, section_samples)
+
+
+def _measure_l2(body: RandomQuotientBody, sub: HaarSubspace, seed: SeedSpec,
+                section_samples: int) -> L2Witness:
+    """Measure the section sub, sampling on seed.child(1); shared by the search
+    and verify_witness."""
     max_g, min_g = section_distortion(body, sub, section_samples, seed.child(1))
     proj = sub.basis @ (sub.basis.T @ body.gamma)
     compl = max_gauge_in_span(body, sub.basis, proj.T)
@@ -269,39 +284,15 @@ def verify_witness(body: RandomQuotientBody, witness) -> dict[str, float]:
     (the sampled quantities rerun on the stored stream and reproduce exactly).
     """
     if isinstance(witness, L1Witness):
-        a = np.array(witness.index_set)
-        block = body.gamma[:, a]
-        normalized = block / body.column_norms[a]
-        sigma_min = 0.0 if witness.k > body.n else float(
-            np.linalg.svd(normalized, compute_uv=False)[-1])
-        basis = orthonormalize(block).basis
-        outside = np.setdiff1d(np.arange(body.N), a)
-        leaks = basis @ (basis.T @ body.gamma[:, outside])
-        max_leak = float(np.linalg.norm(leaks, axis=0).max()) if outside.size else 0.0
-        u_norm = max(body_norm(body, body.gamma[:, j]) for j in a)
-        sup_ratio, inv_direct = _inverse_map_estimates(body, block, basis, witness.iso_samples,
-                                                       witness.seed.child(_ISO_STREAM_OFFSET))
-        inv_bound = min(np.sqrt(witness.k) / sigma_min * sup_ratio, inv_direct)
-        iso = max(1.0, u_norm * inv_bound)
-        compl = complementation_norm(body, basis)
-        return {
-            "sigma_min": abs(sigma_min - witness.sigma_min),
-            "max_leak": abs(max_leak - witness.max_leak),
-            "iso_constant": abs(iso - witness.iso_constant),
-            "compl_constant": abs(compl - witness.compl_constant),
-        }
-    if isinstance(witness, L2Witness):
-        max_g, min_g = section_distortion(body, witness.subspace,
-                                          witness.section_samples, witness.seed.child(1))
-        proj = witness.subspace.basis @ (witness.subspace.basis.T @ body.gamma)
-        compl = max_gauge_in_span(body, witness.subspace.basis, proj.T)
-        radius = float(np.linalg.norm(proj, axis=0).max())
-        return {
-            "distortion": abs(max_g / min_g - witness.distortion),
-            "compl_constant": abs(compl - witness.compl_constant),
-            "proj_image_radius": abs(radius - witness.proj_image_radius),
-        }
-    raise UsageError(f"unknown witness type {type(witness).__name__}")
+        again = _measure_l1(body, np.array(witness.index_set), witness.seed,
+                            witness.iso_samples)
+        keys = ("sigma_min", "max_leak", "iso_constant", "compl_constant")
+    elif isinstance(witness, L2Witness):
+        again = _measure_l2(body, witness.subspace, witness.seed, witness.section_samples)
+        keys = ("distortion", "compl_constant", "proj_image_radius")
+    else:
+        raise UsageError(f"unknown witness type {type(witness).__name__}")
+    return {key: abs(getattr(again, key) - getattr(witness, key)) for key in keys}
 
 
 def save_witness(witness, path) -> None:
@@ -346,6 +337,15 @@ def save_witness(witness, path) -> None:
         raise IoError(path, f"cannot write witness: {exc}") from exc
 
 
+def _field(data, key: str, kind: type | tuple, path):
+    """data[key] if data is an object holding a value of type kind (bools are
+    not numbers); anything else is an IoError naming the file."""
+    value = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise IoError(path, f"witness field {key!r} is missing or ill-typed: {value!r}")
+    return value
+
+
 def load_witness(path):
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -354,20 +354,37 @@ def load_witness(path):
         raise IoError(path, f"cannot read witness: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IoError(path, f"malformed witness JSON: {exc}") from exc
-    basis = parse_matrix(payload["basis"])
-    seed = SeedSpec(payload["seed"]["master_seed"], payload["seed"]["stream_index"])
-    consts = payload["constants"]
-    if payload["kind"] == "l1":
-        return L1Witness(index_set=tuple(payload["indices"]), basis=basis,
-                         sigma_min=consts["sigma_min"], max_leak=consts["max_leak"],
-                         iso_constant=consts["iso_constant"],
-                         compl_constant=consts["compl_constant"], seed=seed,
-                         iso_samples=int(consts.get("iso_samples", _ISO_SAMPLES)))
-    if payload["kind"] == "l2":
-        sub = HaarSubspace(ambient_dim=basis.shape[0], dim=basis.shape[1], basis=basis)
-        return L2Witness(subspace=sub, distortion=consts["distortion"],
-                         max_gauge=consts["max_gauge"], min_gauge=consts["min_gauge"],
-                         compl_constant=consts["compl_constant"],
-                         proj_image_radius=consts["proj_image_radius"], seed=seed,
-                         section_samples=int(consts["section_samples"]))
-    raise IoError(path, f"unknown witness kind {payload['kind']!r}")
+    kind = _field(payload, "kind", str, path)
+    if kind not in ("l1", "l2"):
+        raise IoError(path, f"unknown witness kind {kind!r}")
+    try:
+        basis = parse_matrix(_field(payload, "basis", str, path))
+    except IoError as exc:
+        raise IoError(path, exc.message) from exc
+    seed_data = _field(payload, "seed", dict, path)
+    try:
+        seed = SeedSpec(_field(seed_data, "master_seed", int, path),
+                        _field(seed_data, "stream_index", int, path))
+    except UsageError as exc:
+        raise IoError(path, str(exc)) from exc
+    consts = _field(payload, "constants", dict, path)
+
+    def const(key: str):
+        return _field(consts, key, (int, float), path)
+
+    if kind == "l1":
+        indices = _field(payload, "indices", list, path)
+        if not all(isinstance(j, int) and not isinstance(j, bool) for j in indices):
+            raise IoError(path, f"witness indices must be integers, got {indices!r}")
+        return L1Witness(index_set=tuple(indices), basis=basis,
+                         sigma_min=const("sigma_min"), max_leak=const("max_leak"),
+                         iso_constant=const("iso_constant"),
+                         compl_constant=const("compl_constant"), seed=seed,
+                         iso_samples=(_field(consts, "iso_samples", int, path)
+                                      if "iso_samples" in consts else _ISO_SAMPLES))
+    sub = HaarSubspace(ambient_dim=basis.shape[0], dim=basis.shape[1], basis=basis)
+    return L2Witness(subspace=sub, distortion=const("distortion"),
+                     max_gauge=const("max_gauge"), min_gauge=const("min_gauge"),
+                     compl_constant=const("compl_constant"),
+                     proj_image_radius=const("proj_image_radius"), seed=seed,
+                     section_samples=_field(consts, "section_samples", int, path))

@@ -2,7 +2,8 @@
 
 Each class maps to one failure family so the CLI can translate exceptions
 into stable exit codes (usage -> 2, numeric/solver -> 3, failed construction
-condition -> 1).
+condition -> 1). Every class pickles with its type, message and fields, so an
+exception raised in a suite worker process reaches the parent unchanged.
 """
 
 from __future__ import annotations
@@ -38,7 +39,11 @@ class ConditionFailed(GenquotError):
     def __init__(self, tag: str, message: str, measured: dict | None = None):
         super().__init__(f"{tag}: {message}")
         self.tag = tag
+        self.message = message
         self.measured = dict(measured or {})
+
+    def __reduce__(self):
+        return type(self), (self.tag, self.message, self.measured)
 
 
 class FitError(GenquotError):
@@ -51,3 +56,7 @@ class IoError(GenquotError):
     def __init__(self, path, message: str):
         super().__init__(f"{path}: {message}")
         self.path = str(path)
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.path, self.message)

@@ -3,9 +3,11 @@
 Every suite is a pure function of its SuiteConfig: trials run on derived
 streams (stream = cell_index * 2^32 + trial_index * 2^16), results are folded
 in trial order, and reports serialize byte-identically regardless of the
-worker-pool size. Universal constants that the theory leaves unspecified are
-*fitted* from the data; a dedicated calibration entry point freezes fitted
-thresholds to a JSON file that verification runs read back.
+number of worker processes: each trial is data, (trial function, cell index,
+cell, trial index), run by one runner inline or in a process pool. Universal
+constants that the theory leaves unspecified are *fitted* from the data; a
+dedicated calibration entry point freezes fitted thresholds to a JSON file
+that verification runs read back.
 
 Suites
 ------
@@ -27,13 +29,14 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .body import make_body, mean_width, operator_norm, radii, volume_ratio, section_distortion
+from .body import (VOLUME_DIM_CAP, make_body, mean_width, operator_norm, radii,
+                   section_distortion, volume_ratio)
 from .constructions import find_l1_subspace, find_l2_subspace, verify_witness
 from .errors import ConditionFailed, FitError, IoError, NumericError, UsageError
 from .sampler import SeedSpec, gaussian_matrix, haar_subspace
@@ -168,24 +171,52 @@ class FitResult:
     exponent: float | None = None
 
 
-def _seed(cfg: SuiteConfig, cell: int, trial: int, offset: int = 0) -> SeedSpec:
-    return SeedSpec(cfg.master_seed, cell * _STRIDE_CELL + trial * _STRIDE_TRIAL + offset)
+def _seed(cfg: SuiteConfig, cell: int, trial: int) -> SeedSpec:
+    return SeedSpec(cfg.master_seed, cell * _STRIDE_CELL + trial * _STRIDE_TRIAL)
 
 
-def _run_tasks(tasks: list[Callable[[], dict]], threads: int) -> list[dict]:
-    """Execute tasks preserving order; exceptions in the NumericError family
-    become error records so one broken trial cannot sink a whole suite."""
+# A job is (trial function, cell index, cell, trial index). Trial functions
+# are module-level, so jobs pickle by reference into worker processes.
+Trial = Callable[[SuiteConfig, int, tuple, int], dict]
+Job = tuple[Trial, int, tuple, int]
 
-    def guarded(task: Callable[[], dict]) -> dict:
-        try:
-            return task()
-        except NumericError as exc:
-            return {"error": f"{type(exc).__name__}: {exc}"}
 
-    if threads <= 1:
-        return [guarded(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(guarded, tasks))
+def _grid_jobs(cfg: SuiteConfig, trial: Trial) -> list[Job]:
+    return [(trial, ci, cell, t) for ci, cell in enumerate(cfg.size_grid)
+            for t in range(cfg.trials)]
+
+
+def _run_job(cfg: SuiteConfig, job: Job) -> dict:
+    trial, ci, cell, t = job
+    try:
+        return trial(cfg, ci, cell, t)
+    except NumericError as exc:  # one broken trial must not sink the whole suite
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _run_trials(cfg: SuiteConfig, jobs: list[Job], workers: int) -> list[dict]:
+    """The jobs' records in job order, so report bytes never depend on the
+    worker count: inline when workers <= 1, else in a process pool."""
+    if workers <= 1 or len(jobs) <= 1:
+        return [_run_job(cfg, job) for job in jobs]
+    import multiprocessing  # only the pool path needs it
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: workers inherit the imported package; spawn and forkserver (the
+    # Python 3.14 default) would import numpy again per worker and suite run
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
+                             mp_context=multiprocessing.get_context(method)) as pool:
+        return list(pool.map(partial(_run_job, cfg), jobs))
+
+
+def _by_cell(records: list[dict]) -> dict[str, list[dict]]:
+    """Records by cell label, in job order; error records carry no cell."""
+    groups: dict[str, list[dict]] = {}
+    for r in records:
+        if "cell" in r:
+            groups.setdefault(r["cell"], []).append(r)
+    return groups
 
 
 _UNSTABLE = 1e30  # sentinel for "not a stable positive family" (keeps JSON finite)
@@ -265,30 +296,30 @@ def fit_constant(points, model: str) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _suite_lemma_a(cfg: SuiteConfig, threads: int) -> SuiteReport:
+def _lemma_a_trial(cfg: SuiteConfig, ci: int, cell: tuple[int], t: int) -> dict:
+    d = cell[0]
     batch = cfg.samples or 1000
+    sd = _seed(cfg, ci, t)
+    g = gaussian_matrix(d, batch, 1.0 / d, sd)
+    norms = np.linalg.norm(g, axis=0)
+    return {
+        "cell": f"d={d}", "d": d, "trial": t, "stream": sd.stream_index,
+        "samples": batch,
+        "mean_sq": float(np.mean(norms ** 2)),
+        "n_ge2": int(np.count_nonzero(norms >= 2.0)),
+        "n_le_half": int(np.count_nonzero(norms <= 0.5)),
+        "n_out": int(np.count_nonzero((norms < 0.5) | (norms > 2.0))),
+    }
+
+
+def _suite_lemma_a(cfg: SuiteConfig, workers: int) -> SuiteReport:
     dims = [c[0] for c in cfg.size_grid]
-
-    def task(ci: int, d: int, t: int) -> dict:
-        sd = _seed(cfg, ci, t)
-        g = gaussian_matrix(d, batch, 1.0 / d, sd)
-        norms = np.linalg.norm(g, axis=0)
-        return {
-            "cell": f"d={d}", "d": d, "trial": t, "stream": sd.stream_index,
-            "samples": batch,
-            "mean_sq": float(np.mean(norms ** 2)),
-            "n_ge2": int(np.count_nonzero(norms >= 2.0)),
-            "n_le_half": int(np.count_nonzero(norms <= 0.5)),
-            "n_out": int(np.count_nonzero((norms < 0.5) | (norms > 2.0))),
-        }
-
-    tasks = [(lambda ci=ci, d=d, t=t: task(ci, d, t))
-             for ci, d in enumerate(dims) for t in range(cfg.trials)]
-    records = _run_tasks(tasks, threads)
+    records = _run_trials(cfg, _grid_jobs(cfg, _lemma_a_trial), workers)
+    groups = _by_cell(records)
 
     cells: dict = {}
     for d in dims:
-        rs = [r for r in records if r.get("d") == d]
+        rs = groups.get(f"d={d}")
         if not rs:
             cells[f"d={d}"] = {"d": d, "samples": 0, "mean_sq": 0.0, "freq_ge2": 1.0,
                                "freq_le_half": 1.0, "freq_out": 1.0}
@@ -336,30 +367,29 @@ def _suite_lemma_a(cfg: SuiteConfig, threads: int) -> SuiteReport:
     return _finish(cfg, records, {"cells": cells, "checks": checks}, fitted, passed)
 
 
-def _suite_lemma_b(cfg: SuiteConfig, threads: int) -> SuiteReport:
+def _lemma_b_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dict:
+    k, big_n = cell
     lo = cfg.threshold("lemmaB_sv_low")
     hi = cfg.threshold("lemmaB_sv_high")
+    sd = _seed(cfg, ci, t)
+    lam = gaussian_matrix(big_n, k, 1.0, sd)
+    svs = np.linalg.svd(lam, compute_uv=False) / np.sqrt(big_n)
+    return {
+        "cell": _cell_label(cell), "k": k, "N": big_n, "trial": t,
+        "stream": sd.stream_index,
+        "min_sv": float(svs.min()), "max_sv": float(svs.max()),
+        "violations": int(np.count_nonzero((svs <= lo) | (svs >= hi))),
+    }
 
-    def task(ci: int, cell: tuple[int, ...], t: int) -> dict:
-        k, big_n = cell
-        sd = _seed(cfg, ci, t)
-        lam = gaussian_matrix(big_n, k, 1.0, sd)
-        svs = np.linalg.svd(lam, compute_uv=False) / np.sqrt(big_n)
-        return {
-            "cell": _cell_label(cell), "k": k, "N": big_n, "trial": t,
-            "stream": sd.stream_index,
-            "min_sv": float(svs.min()), "max_sv": float(svs.max()),
-            "violations": int(np.count_nonzero((svs <= lo) | (svs >= hi))),
-        }
 
-    tasks = [(lambda ci=ci, cell=cell, t=t: task(ci, cell, t))
-             for ci, cell in enumerate(cfg.size_grid) for t in range(cfg.trials)]
-    records = _run_tasks(tasks, threads)
+def _suite_lemma_b(cfg: SuiteConfig, workers: int) -> SuiteReport:
+    records = _run_trials(cfg, _grid_jobs(cfg, _lemma_b_trial), workers)
+    groups = _by_cell(records)
 
     cells: dict = {}
     for cell in cfg.size_grid:
         label = _cell_label(cell)
-        rs = [r for r in records if r.get("cell") == label]
+        rs = groups.get(label)
         if not rs:
             cells[label] = {"violations": 1, "min_sv": 0.0, "max_sv": 0.0}
             continue
@@ -378,7 +408,7 @@ def _suite_lemma_b(cfg: SuiteConfig, threads: int) -> SuiteReport:
                    fitted, passed)
 
 
-def _radii_task(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dict:
+def _radii_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dict:
     k, big_n = cell
     sd = _seed(cfg, ci, t)
     body = make_body(k, big_n, sd)
@@ -391,16 +421,15 @@ def _radii_task(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dic
     }
 
 
-def _suite_cor_c(cfg: SuiteConfig, threads: int) -> SuiteReport:
-    tasks = [(lambda ci=ci, cell=cell, t=t: _radii_task(cfg, ci, cell, t))
-             for ci, cell in enumerate(cfg.size_grid) for t in range(cfg.trials)]
-    records = _run_tasks(tasks, threads)
+def _suite_cor_c(cfg: SuiteConfig, workers: int) -> SuiteReport:
+    records = _run_trials(cfg, _grid_jobs(cfg, _radii_trial), workers)
+    groups = _by_cell(records)
     floor = cfg.threshold("corC_c_floor")
 
     cells: dict = {}
     for cell in cfg.size_grid:
         label = _cell_label(cell)
-        rs = [r for r in records if r.get("cell") == label]
+        rs = groups.get(label)
         if not rs:
             cells[label] = {"c_median": 0.0, "c_min": 0.0, "frac_above_floor": 0.0}
             continue
@@ -416,44 +445,43 @@ def _suite_cor_c(cfg: SuiteConfig, threads: int) -> SuiteReport:
     return _finish(cfg, records, {"cells": cells}, fitted, passed)
 
 
-def _suite_lemma_d(cfg: SuiteConfig, threads: int) -> SuiteReport:
-    from .body import VOLUME_DIM_CAP
+def _lemma_d_volume_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dict:
+    k, big_n = cell
+    sd = _seed(cfg, ci, t)
+    body = make_body(k, big_n, sd)
+    ratio, lo, hi = volume_ratio(body, cfg.samples or 100_000, sd.child(1))
+    scale = math.sqrt(math.log(big_n / k) / k)
+    return {
+        "cell": _cell_label(cell), "kind": "volume", "k": k, "N": big_n,
+        "trial": t, "stream": sd.stream_index, "ratio": ratio,
+        "ci_low": lo, "ci_high": hi, "Cprime_stat": hi / scale,
+    }
 
-    samples = cfg.samples or 100_000
-    tasks = []
+
+def _lemma_d_radii_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dict:
+    rec = _radii_trial(cfg, ci, cell, t)
+    scale = math.sqrt(math.log(rec["N"] / rec["k"]) / rec["k"])
+    rec["kind"] = "radii"
+    rec["cprime_stat"] = rec["inradius"] / scale
+    return rec
+
+
+def _suite_lemma_d(cfg: SuiteConfig, workers: int) -> SuiteReport:
+    jobs: list[Job] = []
     for ci, cell in enumerate(cfg.size_grid):
-        k, big_n = cell
-        if k <= VOLUME_DIM_CAP:
-            for t in range(cfg.volume_trials):
-                def vol_task(ci=ci, cell=cell, t=t):
-                    kk, nn = cell
-                    sd = _seed(cfg, ci, t)
-                    body = make_body(kk, nn, sd)
-                    ratio, lo, hi = volume_ratio(body, samples, sd.child(1))
-                    scale = math.sqrt(math.log(nn / kk) / kk)
-                    return {
-                        "cell": _cell_label(cell), "kind": "volume", "k": kk, "N": nn,
-                        "trial": t, "stream": sd.stream_index, "ratio": ratio,
-                        "ci_low": lo, "ci_high": hi, "Cprime_stat": hi / scale,
-                    }
-                tasks.append(vol_task)
+        if cell[0] <= VOLUME_DIM_CAP:
+            jobs += [(_lemma_d_volume_trial, ci, cell, t) for t in range(cfg.volume_trials)]
         else:
-            for t in range(cfg.trials):
-                def rad_task(ci=ci, cell=cell, t=t):
-                    rec = _radii_task(cfg, ci, cell, t)
-                    scale = math.sqrt(math.log(rec["N"] / rec["k"]) / rec["k"])
-                    rec["kind"] = "radii"
-                    rec["cprime_stat"] = rec["inradius"] / scale
-                    return rec
-                tasks.append(rad_task)
-    records = _run_tasks(tasks, threads)
+            jobs += [(_lemma_d_radii_trial, ci, cell, t) for t in range(cfg.trials)]
+    records = _run_trials(cfg, jobs, workers)
+    groups = _by_cell(records)
 
     cells: dict = {}
     cprime_meds: list[float] = []
     cbig_maxes: list[float] = []
     for cell in cfg.size_grid:
         label = _cell_label(cell)
-        rs = [r for r in records if r.get("cell") == label and "kind" in r]
+        rs = groups.get(label)
         if not rs:
             cells[label] = {"kind": "missing"}
             cprime_meds.append(0.0)
@@ -483,44 +511,42 @@ def _suite_lemma_d(cfg: SuiteConfig, threads: int) -> SuiteReport:
     return _finish(cfg, records, {"cells": cells}, fitted, passed)
 
 
-def _suite_fact31(cfg: SuiteConfig, threads: int) -> SuiteReport:
-    mw_samples = cfg.samples or 10_000
+def _fact31_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dict:
+    n, big_n = cell
+    sd = _seed(cfg, ci, t)
+    body = make_body(n, big_n, sd)
+    mw, mw_err = mean_width(body, cfg.samples or 10_000, sd.child(1))
+    rec = {
+        "cell": _cell_label(cell), "n": n, "N": big_n, "trial": t,
+        "stream": sd.stream_index, "mean_width": mw, "mean_width_err": mw_err,
+        "mw_ratio": mw / math.sqrt(math.log(n) / n),
+    }
+    for i, codim in enumerate(sorted({max(1, n // 4), max(1, n // 2)})):
+        sub = haar_subspace(n, n - codim, sd.child(2 + 2 * i))
+        _, min_g = section_distortion(body, sub, 200, sd.child(3 + 2 * i))
+        rec[f"section_C_codim{codim}"] = 1.0 / (min_g * mw * math.sqrt(n / codim))
+    t_op = gaussian_matrix(n, n, 1.0, sd.child(8))
+    dec = np.linalg.svd(t_op)
+    gamma_best = 0.0
+    kk = 1
+    while kk <= n // 2:
+        f_basis = dec[2].T[:, :kk]
+        wit = mn_witness_check(t_op, f_basis, beta=0.0)
+        gamma_best = max(gamma_best, kk * wit.achieved)
+        kk *= 2
+    q = operator_norm(body, t_op)
+    rec["fact32_ratio"] = q * math.sqrt(n * math.log(n)) / gamma_best
+    return rec
 
-    def task(ci: int, cell: tuple[int, int], t: int) -> dict:
-        n, big_n = cell
-        sd = _seed(cfg, ci, t)
-        body = make_body(n, big_n, sd)
-        mw, mw_err = mean_width(body, mw_samples, sd.child(1))
-        rec = {
-            "cell": _cell_label(cell), "n": n, "N": big_n, "trial": t,
-            "stream": sd.stream_index, "mean_width": mw, "mean_width_err": mw_err,
-            "mw_ratio": mw / math.sqrt(math.log(n) / n),
-        }
-        for i, codim in enumerate(sorted({max(1, n // 4), max(1, n // 2)})):
-            sub = haar_subspace(n, n - codim, sd.child(2 + 2 * i))
-            _, min_g = section_distortion(body, sub, 200, sd.child(3 + 2 * i))
-            rec[f"section_C_codim{codim}"] = 1.0 / (min_g * mw * math.sqrt(n / codim))
-        t_op = gaussian_matrix(n, n, 1.0, sd.child(8))
-        dec = np.linalg.svd(t_op)
-        gamma_best = 0.0
-        kk = 1
-        while kk <= n // 2:
-            f_basis = dec[2].T[:, :kk]
-            wit = mn_witness_check(t_op, f_basis, beta=0.0)
-            gamma_best = max(gamma_best, kk * wit.achieved)
-            kk *= 2
-        q = operator_norm(body, t_op)
-        rec["fact32_ratio"] = q * math.sqrt(n * math.log(n)) / gamma_best
-        return rec
 
-    tasks = [(lambda ci=ci, cell=cell, t=t: task(ci, cell, t))
-             for ci, cell in enumerate(cfg.size_grid) for t in range(cfg.trials)]
-    records = _run_tasks(tasks, threads)
+def _suite_fact31(cfg: SuiteConfig, workers: int) -> SuiteReport:
+    records = _run_trials(cfg, _grid_jobs(cfg, _fact31_trial), workers)
+    groups = _by_cell(records)
 
     cells: dict = {}
     for cell in cfg.size_grid:
         label = _cell_label(cell)
-        rs = [r for r in records if r.get("cell") == label]
+        rs = groups.get(label)
         if not rs:
             cells[label] = {"mw_ratio_max": _UNSTABLE, "section_C_max": _UNSTABLE,
                             "fact32_c1": 0.0}
@@ -550,35 +576,35 @@ def _operator_for_trial(n: int, t: int, trials: int, sd: SeedSpec) -> np.ndarray
     return haar_subspace(n, n, sd).basis
 
 
-def _suite_thm22(cfg: SuiteConfig, threads: int) -> SuiteReport:
-    def task(ci: int, cell: tuple[int, int], t: int) -> dict:
-        n, big_n = cell
-        sd = _seed(cfg, ci, t)
-        body = make_body(n, big_n, sd)
-        t_op = _operator_for_trial(n, t, cfg.trials, sd.child(1))
-        q = operator_norm(body, t_op)
-        est = radii(body, seed=sd.child(2))
-        res = min_over_shifts(body, t_op, k=n // 2, opnorm=q, rad=est, cert_samples=0)
-        denom = q / math.sqrt(n)
-        return {
-            "cell": _cell_label(cell), "n": n, "N": big_n, "trial": t,
-            "stream": sd.stream_index,
-            "kind": "gaussian" if t < (cfg.trials + 1) // 2 else "orthogonal",
-            "opnorm": q, "best_shift": res.best_shift, "proxy_value": res.best_value,
-            "ratio": res.best_value / denom,
-            "bracket_upper_ratio": res.bracket_at_best.upper / denom,
-        }
+def _thm22_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dict:
+    n, big_n = cell
+    sd = _seed(cfg, ci, t)
+    body = make_body(n, big_n, sd)
+    t_op = _operator_for_trial(n, t, cfg.trials, sd.child(1))
+    q = operator_norm(body, t_op)
+    est = radii(body, seed=sd.child(2))
+    res = min_over_shifts(body, t_op, k=n // 2, opnorm=q, rad=est, cert_samples=0)
+    denom = q / math.sqrt(n)
+    return {
+        "cell": _cell_label(cell), "n": n, "N": big_n, "trial": t,
+        "stream": sd.stream_index,
+        "kind": "gaussian" if t < (cfg.trials + 1) // 2 else "orthogonal",
+        "opnorm": q, "best_shift": res.best_shift, "proxy_value": res.best_value,
+        "ratio": res.best_value / denom,
+        "bracket_upper_ratio": res.bracket_at_best.upper / denom,
+    }
 
-    tasks = [(lambda ci=ci, cell=cell, t=t: task(ci, cell, t))
-             for ci, cell in enumerate(cfg.size_grid) for t in range(cfg.trials)]
-    records = _run_tasks(tasks, threads)
+
+def _suite_thm22(cfg: SuiteConfig, workers: int) -> SuiteReport:
+    records = _run_trials(cfg, _grid_jobs(cfg, _thm22_trial), workers)
+    groups = _by_cell(records)
 
     cells: dict = {}
     id_ok = True
     for ci, cell in enumerate(cfg.size_grid):
         n, big_n = cell
         label = _cell_label(cell)
-        rs = [r for r in records if r.get("cell") == label and "ratio" in r]
+        rs = groups.get(label)
         if not rs:
             cells[label] = {"K_fit": 0.0, "K_bracket_fit": 0.0}
         else:
@@ -598,32 +624,32 @@ def _suite_thm22(cfg: SuiteConfig, threads: int) -> SuiteReport:
     return _finish(cfg, records, {"cells": cells, "identity_exact": id_ok}, fitted, passed)
 
 
-def _suite_thm32(cfg: SuiteConfig, threads: int) -> SuiteReport:
-    def task(ci: int, cell: tuple[int, int], t: int) -> dict:
-        n, big_n = cell
-        sd = _seed(cfg, ci, t)
-        body = make_body(n, big_n, sd)
-        t_op = _operator_for_trial(n, t, cfg.trials, sd.child(1))
-        q = operator_norm(body, t_op)
-        est = radii(body, seed=sd.child(2))
-        res = gelfand_sum_bracket(body, t_op, rad=est)
-        return {
-            "cell": _cell_label(cell), "n": n, "N": big_n, "trial": t,
-            "stream": sd.stream_index,
-            "kind": "gaussian" if t < (cfg.trials + 1) // 2 else "orthogonal",
-            "opnorm": q, "sum_value": res.sum_value,
-            "ratio_a": res.sum_value / (n ** (2.0 / 3.0) * math.log(n) ** 1.5 * q),
-            "ratio_b": res.sum_value / (math.sqrt(n) * q),
-        }
+def _thm32_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dict:
+    n, big_n = cell
+    sd = _seed(cfg, ci, t)
+    body = make_body(n, big_n, sd)
+    t_op = _operator_for_trial(n, t, cfg.trials, sd.child(1))
+    q = operator_norm(body, t_op)
+    est = radii(body, seed=sd.child(2))
+    res = gelfand_sum_bracket(body, t_op, rad=est)
+    return {
+        "cell": _cell_label(cell), "n": n, "N": big_n, "trial": t,
+        "stream": sd.stream_index,
+        "kind": "gaussian" if t < (cfg.trials + 1) // 2 else "orthogonal",
+        "opnorm": q, "sum_value": res.sum_value,
+        "ratio_a": res.sum_value / (n ** (2.0 / 3.0) * math.log(n) ** 1.5 * q),
+        "ratio_b": res.sum_value / (math.sqrt(n) * q),
+    }
 
-    tasks = [(lambda ci=ci, cell=cell, t=t: task(ci, cell, t))
-             for ci, cell in enumerate(cfg.size_grid) for t in range(cfg.trials)]
-    records = _run_tasks(tasks, threads)
+
+def _suite_thm32(cfg: SuiteConfig, workers: int) -> SuiteReport:
+    records = _run_trials(cfg, _grid_jobs(cfg, _thm32_trial), workers)
+    groups = _by_cell(records)
 
     cells: dict = {}
     for cell in cfg.size_grid:
         label = _cell_label(cell)
-        rs = [r for r in records if r.get("cell") == label and "ratio_a" in r]
+        rs = groups.get(label)
         if not rs:
             cells[label] = {"c_fit": 0.0, "floor_fit": 0.0}
         else:
@@ -639,34 +665,31 @@ def _suite_thm32(cfg: SuiteConfig, threads: int) -> SuiteReport:
     return _finish(cfg, records, {"cells": cells}, fitted, passed)
 
 
-def _suite_prop41(cfg: SuiteConfig, threads: int) -> SuiteReport:
-    c_cal = cfg.threshold("c_cal")
-    el2 = cfg.threshold("el2_sigma_min")
-
-    def task(ci: int, cell: tuple[int, int], t: int) -> dict:
-        d, big_n = cell
-        sd = _seed(cfg, ci, t)
-        body = make_body(d, big_n, sd)
-        rec = {"cell": _cell_label(cell), "d": d, "N": big_n, "trial": t,
-               "stream": sd.stream_index}
-        try:
-            wit = find_l1_subspace(body, seed=sd.child(1), c_cal=c_cal, el2_threshold=el2)
-        except ConditionFailed as exc:
-            rec.update({"success": False, "failed_tag": exc.tag})
-            rec.update({f"failed_{k}": v for k, v in exc.measured.items()})
-            return rec
-        dev = max(verify_witness(body, wit).values())
-        rec.update({
-            "success": True, "k": wit.k, "sigma_min": wit.sigma_min,
-            "max_leak": wit.max_leak, "iso_constant": wit.iso_constant,
-            "compl_constant": wit.compl_constant, "reverify_dev": dev,
-            "reverify_ok": dev <= 1e-9,
-        })
+def _prop41_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dict:
+    d, big_n = cell
+    sd = _seed(cfg, ci, t)
+    body = make_body(d, big_n, sd)
+    rec = {"cell": _cell_label(cell), "d": d, "N": big_n, "trial": t,
+           "stream": sd.stream_index}
+    try:
+        wit = find_l1_subspace(body, seed=sd.child(1), c_cal=cfg.threshold("c_cal"),
+                               el2_threshold=cfg.threshold("el2_sigma_min"))
+    except ConditionFailed as exc:
+        rec.update({"success": False, "failed_tag": exc.tag})
+        rec.update({f"failed_{k}": v for k, v in exc.measured.items()})
         return rec
+    dev = max(verify_witness(body, wit).values())
+    rec.update({
+        "success": True, "k": wit.k, "sigma_min": wit.sigma_min,
+        "max_leak": wit.max_leak, "iso_constant": wit.iso_constant,
+        "compl_constant": wit.compl_constant, "reverify_dev": dev,
+        "reverify_ok": dev <= 1e-9,
+    })
+    return rec
 
-    tasks = [(lambda ci=ci, cell=cell, t=t: task(ci, cell, t))
-             for ci, cell in enumerate(cfg.size_grid) for t in range(cfg.trials)]
-    records = _run_tasks(tasks, threads)
+
+def _suite_prop41(cfg: SuiteConfig, workers: int) -> SuiteReport:
+    records = _run_trials(cfg, _grid_jobs(cfg, _prop41_trial), workers)
     succ = [r for r in records if r.get("success")]
     rate = len(succ) / max(len(records), 1)
     fitted = {
@@ -682,48 +705,50 @@ def _suite_prop41(cfg: SuiteConfig, threads: int) -> SuiteReport:
     return _finish(cfg, records, {"success_rate": rate}, fitted, passed)
 
 
-def _suite_prop42(cfg: SuiteConfig, threads: int) -> SuiteReport:
-    c_cal = cfg.threshold("c_cal")
-    dist_cap = cfg.threshold("l2_distortion_max")
-    compl_cap = cfg.threshold("l2_compl_max")
-    alpha_grid = (0.25, 0.5, 1.0)
-    alpha_dim = 16
+_ALPHA_GRID = (0.25, 0.5, 1.0)  # prop42 relaxed mode: N = round(16^(1 + alpha))
+_ALPHA_DIM = 16
 
-    def main_task(ci: int, cell: tuple[int, int], t: int) -> dict:
-        d, big_n = cell
-        sd = _seed(cfg, ci, t)
-        body = make_body(d, big_n, sd)
-        wit = find_l2_subspace(body, seed=sd.child(1), c_cal=c_cal)
-        dev = max(verify_witness(body, wit).values())
-        ok = wit.distortion <= dist_cap and wit.compl_constant <= compl_cap
-        return {
-            "cell": _cell_label(cell), "mode": "main", "d": d, "N": big_n, "trial": t,
-            "stream": sd.stream_index, "h": wit.h, "distortion": wit.distortion,
-            "compl_constant": wit.compl_constant,
-            "proj_image_radius": wit.proj_image_radius,
-            "rzut_stat": wit.proj_image_radius / math.sqrt(wit.h / d),
-            "reverify_dev": dev, "reverify_ok": dev <= 1e-9, "success": ok,
-        }
 
-    def alpha_task(ci: int, alpha: float, t: int) -> dict:
-        d = alpha_dim
-        big_n = round(d ** (1.0 + alpha))
-        sd = _seed(cfg, 100 + ci, t)
-        body = make_body(d, big_n, sd)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            wit = find_l2_subspace(body, seed=sd.child(1), c_cal=c_cal, relax_alpha=alpha)
-        return {
-            "cell": f"alpha={alpha}", "mode": "alpha", "alpha": alpha, "d": d,
-            "N": big_n, "trial": t, "stream": sd.stream_index, "h": wit.h,
-            "distortion": wit.distortion, "compl_constant": wit.compl_constant,
-        }
+def _prop42_main_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dict:
+    d, big_n = cell
+    sd = _seed(cfg, ci, t)
+    body = make_body(d, big_n, sd)
+    wit = find_l2_subspace(body, seed=sd.child(1), c_cal=cfg.threshold("c_cal"))
+    dev = max(verify_witness(body, wit).values())
+    ok = (wit.distortion <= cfg.threshold("l2_distortion_max")
+          and wit.compl_constant <= cfg.threshold("l2_compl_max"))
+    return {
+        "cell": _cell_label(cell), "mode": "main", "d": d, "N": big_n, "trial": t,
+        "stream": sd.stream_index, "h": wit.h, "distortion": wit.distortion,
+        "compl_constant": wit.compl_constant,
+        "proj_image_radius": wit.proj_image_radius,
+        "rzut_stat": wit.proj_image_radius / math.sqrt(wit.h / d),
+        "reverify_dev": dev, "reverify_ok": dev <= 1e-9, "success": ok,
+    }
 
-    tasks: list = [(lambda ci=ci, cell=cell, t=t: main_task(ci, cell, t))
-                   for ci, cell in enumerate(cfg.size_grid) for t in range(cfg.trials)]
-    tasks += [(lambda ci=ci, alpha=alpha, t=t: alpha_task(ci, alpha, t))
-              for ci, alpha in enumerate(alpha_grid) for t in range(cfg.trials)]
-    records = _run_tasks(tasks, threads)
+
+def _prop42_alpha_trial(cfg: SuiteConfig, ci: int, alpha: float, t: int) -> dict:
+    d = _ALPHA_DIM
+    big_n = round(d ** (1.0 + alpha))
+    sd = _seed(cfg, 100 + ci, t)
+    body = make_body(d, big_n, sd)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        wit = find_l2_subspace(body, seed=sd.child(1), c_cal=cfg.threshold("c_cal"),
+                               relax_alpha=alpha)
+    return {
+        "cell": f"alpha={alpha}", "mode": "alpha", "alpha": alpha, "d": d,
+        "N": big_n, "trial": t, "stream": sd.stream_index, "h": wit.h,
+        "distortion": wit.distortion, "compl_constant": wit.compl_constant,
+    }
+
+
+def _suite_prop42(cfg: SuiteConfig, workers: int) -> SuiteReport:
+    jobs = _grid_jobs(cfg, _prop42_main_trial)
+    jobs += [(_prop42_alpha_trial, ci, alpha, t)
+             for ci, alpha in enumerate(_ALPHA_GRID) for t in range(cfg.trials)]
+    records = _run_trials(cfg, jobs, workers)
+    groups = _by_cell(records)
 
     main = [r for r in records if r.get("mode") == "main"]
     rate = float(np.mean([bool(r.get("success")) for r in main])) if main else 0.0
@@ -735,9 +760,8 @@ def _suite_prop42(cfg: SuiteConfig, threads: int) -> SuiteReport:
     }
     compl_by_alpha = []
     alpha_complete = True
-    for alpha in alpha_grid:
-        rs = [r for r in records if r.get("mode") == "alpha" and r.get("alpha") == alpha
-              and "compl_constant" in r]
+    for alpha in _ALPHA_GRID:
+        rs = groups.get(f"alpha={alpha}")
         if not rs:
             alpha_complete = False
             fitted[f"compl_alpha_{alpha}"] = 0.0
@@ -754,19 +778,18 @@ def _suite_prop42(cfg: SuiteConfig, threads: int) -> SuiteReport:
                    fitted, passed)
 
 
-def _suite_hsbound(cfg: SuiteConfig, threads: int) -> SuiteReport:
-    def task(ci: int, cell: tuple[int, int], t: int) -> dict:
-        n, big_n = cell
-        sd = _seed(cfg, ci, t)
-        body = make_body(n, big_n, sd)
-        t_op = gaussian_matrix(n, n, 1.0, sd.child(1))
-        hs, bound, ok = hs_of_normalized(body, t_op)
-        return {"cell": _cell_label(cell), "n": n, "N": big_n, "trial": t,
-                "stream": sd.stream_index, "hs": hs, "bound": bound, "ok": bool(ok)}
+def _hsbound_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dict:
+    n, big_n = cell
+    sd = _seed(cfg, ci, t)
+    body = make_body(n, big_n, sd)
+    t_op = gaussian_matrix(n, n, 1.0, sd.child(1))
+    hs, bound, ok = hs_of_normalized(body, t_op)
+    return {"cell": _cell_label(cell), "n": n, "N": big_n, "trial": t,
+            "stream": sd.stream_index, "hs": hs, "bound": bound, "ok": bool(ok)}
 
-    tasks = [(lambda ci=ci, cell=cell, t=t: task(ci, cell, t))
-             for ci, cell in enumerate(cfg.size_grid) for t in range(cfg.trials)]
-    records = _run_tasks(tasks, threads)
+
+def _suite_hsbound(cfg: SuiteConfig, workers: int) -> SuiteReport:
+    records = _run_trials(cfg, _grid_jobs(cfg, _hsbound_trial), workers)
     violations = sum(1 for r in records if not r.get("ok", False))
     slack = min((r["bound"] - r["hs"] for r in records if "hs" in r), default=0.0)
     return _finish(cfg, records, {"violations": violations, "min_slack": slack},
@@ -839,7 +862,11 @@ def default_config(suite_id: str, master_seed: int, trials: int | None = None,
 
 
 def run_suite(config: SuiteConfig, threads: int = 1) -> SuiteReport:
-    """Run one verification suite; deterministic given the config alone."""
+    """Run one verification suite; deterministic given the config alone.
+
+    threads is the number of worker processes the trials run in (1: inline,
+    in this process); it changes run time only, never the report bytes.
+    """
     return _SUITES[config.suite_id](config, max(int(threads), 1))
 
 

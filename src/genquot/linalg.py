@@ -194,6 +194,10 @@ def write_matrix(m, path) -> None:
 def read_matrix(path) -> np.ndarray:
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return parse_matrix(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise IoError(path, f"cannot read matrix: {exc}") from exc
+    try:
+        return parse_matrix(text)
+    except IoError as exc:
+        raise IoError(path, exc.message) from exc

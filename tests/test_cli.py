@@ -129,10 +129,11 @@ def test_io_error_exits_2(tmp_path):
     assert main(["norm", "--body", str(tmp_path / "missing.mtx"), "--vec", "1,1"]) == 2
 
 
-def _assert_io_error_line(err: str):
-    # one message line after the config log line, never a traceback
+def _assert_io_error_line(err: str, path):
+    # one message line after the config log line, never a traceback; it names the file
     assert "Traceback" not in err
-    assert err.strip().splitlines()[-1].startswith("genquot: i/o error:")
+    line = err.strip().splitlines()[-1]
+    assert line.startswith(f"genquot: i/o error: {path}: ")
 
 
 @pytest.mark.parametrize("text", [
@@ -147,7 +148,7 @@ def test_bad_thresholds_file_exits_2(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["verify", "hsbound", "--seed", "1", "--trials", "1",
                  "--thresholds", str(path), "--threads", "1"]) == 2
-    _assert_io_error_line(capsys.readouterr().err)
+    _assert_io_error_line(capsys.readouterr().err, path)
 
 
 @pytest.mark.parametrize("text", [
@@ -158,14 +159,14 @@ def test_bad_body_file_exits_2(tmp_path, capsys, text):
     bad = tmp_path / "bad.mtx"
     bad.write_text(text)
     assert main(["norm", "--body", str(bad), "--vec", "1,1"]) == 2
-    _assert_io_error_line(capsys.readouterr().err)
+    _assert_io_error_line(capsys.readouterr().err, bad)
 
 
 def test_bad_matrix_file_exits_2(body_file, tmp_path, capsys):
     mpath = tmp_path / "t.mtx"
     mpath.write_text("3 3\n1 0 0\n0 1 0\n0 0 one\n")
     assert main(["opnorm", "--body", str(body_file), "--matrix", str(mpath)]) == 2
-    _assert_io_error_line(capsys.readouterr().err)
+    _assert_io_error_line(capsys.readouterr().err, mpath)
 
 
 def test_verify_writes_report_and_passes(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,27 @@ class TestFindL1:
         assert loaded.iso_constant == wit.iso_constant
         assert loaded.seed == wit.seed
         assert max(gq.verify_witness(body, loaded).values()) <= 1e-9
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: {"kind": "l1"},  # every other key missing
+        lambda p: [p],  # not an object
+        lambda p: {**p, "seed": {"master_seed": 1}},
+        lambda p: {**p, "seed": {**p["seed"], "stream_index": -1}},
+        lambda p: {**p, "constants": {**p["constants"], "sigma_min": "high"}},
+        lambda p: {**p, "indices": [0, "one"]},
+        lambda p: {**p, "basis": "2 2\n1 0\n0 x\n"},
+        lambda p: {**p, "kind": "l3"},
+    ], ids=["keys-missing", "not-object", "seed-key-missing", "negative-stream",
+            "constant-not-number", "index-not-int", "bad-basis", "unknown-kind"])
+    def test_bad_witness_file_is_io_error(self, tmp_path, edit):
+        body = gq.make_body(9, 81, seed(106))
+        path = tmp_path / "wit.json"
+        gq.save_witness(gq.find_l1_subspace(body, k=1, seed=seed(106, 1)), path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(gq.IoError) as err:
+            gq.load_witness(path)
+        assert err.value.path == str(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_iso_stability_between_disjoint_sets(self):
         # smoke test: disjoint index sets of the same size give comparable constants

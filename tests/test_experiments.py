@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -101,15 +102,44 @@ class TestRunSuite:
         assert not rep.passed
         assert any("error" in r for r in rep.trials)
 
-    def test_thread_counts_do_not_change_bytes(self, tmp_path):
-        cfg = tiny("lemmaB", trials=4, size_grid=((5, 10), (8, 16)))
-        blobs = []
-        for threads in (1, 2, 8):
-            rep = gq.run_suite(cfg, threads=threads)
-            path = tmp_path / f"t{threads}.json"
-            gq.write_report(rep, "json", path)
-            blobs.append(path.read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
+    def test_thread_counts_do_not_change_bytes(self, tmp_path, thresholds):
+        # el2_sigma_min above 1 fails every prop41 retry: ConditionFailed records
+        failing = {**thresholds, "el2_sigma_min": 2.0}
+        for cfg in (tiny("lemmaB", trials=4, size_grid=((5, 10), (8, 16))),
+                    tiny("prop41", trials=2, size_grid=((9, 81), (16, 128)),
+                         thresholds=failing)):
+            blobs = []
+            for threads in (1, 2, 8):
+                rep = gq.run_suite(cfg, threads=threads)
+                path = tmp_path / f"{cfg.suite_id}-t{threads}.json"
+                gq.write_report(rep, "json", path)
+                blobs.append(path.read_bytes())
+            assert blobs[0] == blobs[1] == blobs[2]
+        assert {r["failed_tag"] for r in rep.trials} == {"el2"}
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the patched module reaches workers only by fork")
+    def test_error_records_pass_through_workers(self, monkeypatch):
+        import genquot.experiments as ex
+
+        real = ex.make_body
+
+        def odd_trials_fail(n, big_n, sd):
+            if (sd.stream_index // (1 << 16)) % 2:
+                raise gq.SolverStall("synthetic stall")
+            return real(n, big_n, sd)
+
+        monkeypatch.setattr(ex, "make_body", odd_trials_fail)
+        cfg = tiny("hsbound", trials=4, size_grid=((4, 8), (5, 10)))
+        one, two = gq.run_suite(cfg, threads=1), gq.run_suite(cfg, threads=2)
+        assert two == one
+        assert two.aggregate["error_count"] == 4
+        assert [r.get("error") for r in two.trials[:2]] == [None, "SolverStall: synthetic stall"]
+
+    def test_usage_error_in_pooled_trial_reaches_parent(self):
+        # prop42 main trials read l2_distortion_max, which no default supplies
+        with pytest.raises(gq.UsageError, match="l2_distortion_max"):
+            gq.run_suite(tiny("prop42", trials=2, size_grid=((9, 81),)), threads=2)
 
 
 class TestReportIo:
