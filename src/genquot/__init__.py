@@ -6,6 +6,10 @@ norm, constructive well-complemented l1^k / l2^h subspace searches, and seeded
 Monte Carlo suites that check every quantitative claim at desk scale.
 """
 
+# set before the submodule imports: experiments, cli and pyproject read them here
+__version__ = "1.0.0"
+REPORT_SCHEMA = "genquot-report/1"
+
 from .errors import (
     ConditionFailed,
     FitError,
@@ -84,6 +88,3 @@ from .experiments import (
     write_report,
     write_thresholds,
 )
-
-__version__ = "1.0.0"
-REPORT_SCHEMA = "genquot-report/1"

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IoError, NotInSpan, NumericError, UsageError
-from .linalg import as_matrix, as_vector, format_matrix, parse_matrix
+from .linalg import as_matrix, as_vector, format_matrix, golden_min, parse_matrix
 from .linprog import LPProblem, LPSolution, solve_lp
 from .sampler import HaarSubspace, SeedSpec, gaussian_matrix, generator
 
@@ -52,6 +52,8 @@ __all__ = [
 
 _RANK_TOL = 1e-8
 _MEMBERSHIP_SLACK = 1e-8
+_MEMBERSHIP_BLOCK = 2048  # volume_ratio: points per membership block
+_SCREEN_FACETS = 32  # volume_ratio: facets tried on every point before the rest
 _HULL_DIM_CAP = 6  # batch gauge falls back to per-point LPs above this
 VOLUME_DIM_CAP = 8
 
@@ -334,24 +336,9 @@ def _inradius_exact_2d(body: RandomQuotientBody) -> tuple[float, np.ndarray]:
     # dense angular net, then golden-section polish inside the best bracket
     m = max(8192, 64 * body.N)
     thetas = np.linspace(0.0, np.pi, m, endpoint=False)  # symmetry: h(-u) = h(u)
-    vals = _support_on_circle(body, thetas)
-    i = int(np.argmin(vals))
-    lo, hi = thetas[i] - np.pi / m, thetas[i] + np.pi / m
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc = _support_on_circle(body, np.array([c]))[0]
-    fd = _support_on_circle(body, np.array([d]))[0]
-    for _ in range(90):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = _support_on_circle(body, np.array([c]))[0]
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = _support_on_circle(body, np.array([d]))[0]
-    theta = (a + b) / 2.0
+    i = int(np.argmin(_support_on_circle(body, thetas)))
+    theta, _ = golden_min(lambda th: float(_support_on_circle(body, np.array([th]))[0]),
+                          thetas[i] - np.pi / m, thetas[i] + np.pi / m)
     u = np.array([np.cos(theta), np.sin(theta)])
     return float(np.max(np.abs(u @ body.gamma))), u
 
@@ -365,17 +352,24 @@ def _inradius_descent(body: RandomQuotientBody, restarts: int, seed: SeedSpec,
     step = 0.3 / max(mean_col, 1e-12)
     best_val = np.full(restarts, np.inf)
     best_dir = u.copy()
+    at_row = np.arange(restarts) * body.N  # flat index of row i, column 0 of proj
+    gamma_t = np.ascontiguousarray(body.gamma.T)
+    proj = np.empty((restarts, body.N))
+    mag = np.empty_like(proj)
     for _ in range(steps):
-        proj = u @ body.gamma
-        j = np.argmax(np.abs(proj), axis=1)
-        rows = np.arange(restarts)
-        vals = np.abs(proj[rows, j])
-        improved = vals < best_val
-        best_val[improved] = vals[improved]
-        best_dir[improved] = u[improved]
-        grad = np.sign(proj[rows, j])[:, None] * body.gamma[:, j].T
-        u = u - step * grad
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        np.matmul(u, body.gamma, out=proj)
+        np.abs(proj, out=mag)
+        j = mag.argmax(axis=1)
+        at = at_row + j
+        vals = mag.take(at)
+        np.copyto(best_dir, u, where=(vals < best_val)[:, None])
+        np.minimum(best_val, vals, out=best_val)
+        grad = gamma_t.take(j, axis=0)
+        grad *= np.sign(proj.take(at))[:, None]  # exact: a sign flip
+        grad *= step
+        u -= grad
+        # the floating-point operations of np.linalg.norm(u, axis=1), without its overhead
+        u /= np.sqrt(np.add.reduce(u * u, axis=1))[:, None]
         step *= decay
     proj = u @ body.gamma
     vals = np.max(np.abs(proj), axis=1)
@@ -456,6 +450,16 @@ def volume_ratio(body: RandomQuotientBody, samples: int, seed: SeedSpec) -> tupl
     propagated through the 1/n power. Membership is the exact polar-facet
     gauge test ||x||_B <= 1 + 1e-8, identical to the LP gauge to solver
     tolerance.
+
+    Membership is tested in blocks of _MEMBERSHIP_BLOCK points inside each
+    draw chunk. With more than _SCREEN_FACETS facets (with fewer, a screen
+    would be every facet), the first block meets every facet and the
+    _SCREEN_FACETS facets that most often give the maximum for its rejected
+    points form a screen. In every later block a point whose screen maximum
+    exceeds the threshold is rejected at once, since a screen facet is a
+    facet and the full maximum is at least as large; only the survivors
+    (mostly the 3-8% of points inside B) meet every facet. So each point
+    gets the same decision as the full test, and the draws are unchanged.
     """
     if body.n > VOLUME_DIM_CAP:
         raise UsageError(f"volume_ratio is capped at n <= {VOLUME_DIM_CAP}, got n={body.n}")
@@ -464,16 +468,28 @@ def volume_ratio(body: RandomQuotientBody, samples: int, seed: SeedSpec) -> tupl
     rng = generator(seed)
     r = body.circumradius
     w = body.polar_vertices  # may exceed the batch-dim cap: explicit polar here
+    limit = 1.0 + _MEMBERSHIP_SLACK
     hits = 0
     chunk = max(1, min(samples, (1 << 22) // max(w.shape[0], 1)))
+    screened = w.shape[0] > _SCREEN_FACETS
+    screen = None
     done = 0
     while done < samples:
         take = min(chunk, samples - done)
         x = _unit_sphere(rng, take, body.n)
         radius = r * rng.random(take) ** (1.0 / body.n)
         pts = x * radius[:, None]
-        gauges = np.max(pts @ w.T, axis=1)
-        hits += int(np.count_nonzero(gauges <= 1.0 + _MEMBERSHIP_SLACK))
+        for start in range(0, take, _MEMBERSHIP_BLOCK):
+            block = pts[start:start + _MEMBERSHIP_BLOCK]
+            if screen is not None:
+                block = block[np.max(block @ screen, axis=1) <= limit]
+            prod = block @ w.T
+            inside = np.max(prod, axis=1) <= limit
+            hits += int(np.count_nonzero(inside))
+            if screened and screen is None:
+                votes = np.bincount(np.argmax(prod, axis=1)[~inside], minlength=w.shape[0])
+                top = np.argsort(-votes, kind="stable")[:_SCREEN_FACETS]
+                screen = np.ascontiguousarray(w[top].T)
         done += take
     p = hits / samples
     lo, hi = _wilson_interval(hits, samples)
@@ -548,7 +564,7 @@ def load_body(path) -> RandomQuotientBody:
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(path, f"cannot read body: {exc}") from exc
     try:
         return parse_body(text)

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import REPORT_SCHEMA, __version__
 from .body import (
     body_norm,
     dual_norm,
@@ -34,7 +34,6 @@ from .body import (
 from .constructions import find_l1_subspace, find_l2_subspace, save_witness
 from .errors import ConditionFailed, GenquotError, IoError, NumericError, UsageError
 from .experiments import (
-    REPORT_SCHEMA,
     SUITE_IDS,
     calibrate,
     default_config,
@@ -179,8 +178,8 @@ def _apply_config_file(args: argparse.Namespace, subparser: argparse.ArgumentPar
     try:
         with open(args.config, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(args.config, f"cannot read config file: {exc}") from exc
     entries: dict[str, str] = {}
     for ln in lines:
         ln = ln.strip()

@@ -350,7 +350,7 @@ def load_witness(path):
     try:
         with open(path, "r", encoding="ascii") as fh:
             payload = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(path, f"cannot read witness: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IoError(path, f"malformed witness JSON: {exc}") from exc

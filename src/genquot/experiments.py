@@ -35,6 +35,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import REPORT_SCHEMA, __version__
 from .body import (VOLUME_DIM_CAP, make_body, mean_width, operator_norm, radii,
                    section_distortion, volume_ratio)
 from .constructions import find_l1_subspace, find_l2_subspace, verify_witness
@@ -57,9 +58,6 @@ __all__ = [
     "write_thresholds",
     "read_thresholds",
 ]
-
-ARTIFACT_VERSION = "1.0.0"
-REPORT_SCHEMA = "genquot-report/1"
 
 SUITE_IDS = ("lemmaA", "lemmaB", "corC", "lemmaD", "fact31", "thm22", "thm32",
              "prop41", "prop42", "hsbound")
@@ -144,7 +142,7 @@ class SuiteReport:
     aggregate: dict
     fitted: dict
     passed: bool
-    artifact_version: str = ARTIFACT_VERSION
+    artifact_version: str = __version__
 
     def to_payload(self) -> dict:
         return {
@@ -912,7 +910,7 @@ def read_report(path) -> SuiteReport:
     try:
         with open(path, "r", encoding="ascii") as fh:
             payload = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(path, f"cannot read report: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IoError(path, f"malformed report JSON: {exc}") from exc
@@ -964,7 +962,7 @@ def read_thresholds(path) -> dict[str, float]:
     try:
         with open(path, "r", encoding="ascii") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(path, f"cannot read thresholds: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IoError(path, f"malformed thresholds JSON: {exc}") from exc

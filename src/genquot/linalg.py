@@ -1,4 +1,5 @@
-"""Dense real linear algebra primitives: SVD, orthonormalization, projection.
+"""Dense real linear algebra primitives: SVD, orthonormalization, projection,
+and the golden-section line search shared by the radii and shift searches.
 
 Everything operates on plain float64 numpy arrays (matrices are 2-d,
 column-oriented where a basis is meant). The text serialization here is the
@@ -10,7 +11,7 @@ float64 exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,9 +29,33 @@ __all__ = [
     "read_matrix",
     "as_matrix",
     "as_vector",
+    "golden_min",
 ]
 
 DEFAULT_DROP_TOL = 1e-10
+
+
+def golden_min(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """Golden-section search for a minimum of f on [a, b]: the best point
+    evaluated and its value. 70 steps shrink the bracket by a factor 2e-15."""
+    phi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = f(c), f(d)
+    best_x, best_v = (c, fc) if fc <= fd else (d, fd)
+    for _ in range(70):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = f(c)
+            if fc < best_v:
+                best_x, best_v = c, fc
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = f(d)
+            if fd < best_v:
+                best_x, best_v = d, fd
+    return best_x, best_v
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -195,7 +220,7 @@ def read_matrix(path) -> np.ndarray:
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(path, f"cannot read matrix: {exc}") from exc
     try:
         return parse_matrix(text)

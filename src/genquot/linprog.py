@@ -335,7 +335,7 @@ def load_problem(path) -> LPProblem:
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(path, f"cannot read LP dump: {exc}") from exc
     records = {}
     matrix_lines = []

@@ -19,7 +19,7 @@ import numpy as np
 
 from .body import RadiiEstimate, RandomQuotientBody, body_norm, dual_norm, operator_norm, radii
 from .errors import UsageError
-from .linalg import as_matrix, check_orthonormal, svd
+from .linalg import as_matrix, check_orthonormal, golden_min, svd
 from .sampler import HaarSubspace, generator
 
 __all__ = [
@@ -165,28 +165,6 @@ def gelfand_bracket(body: RandomQuotientBody, t, k: int, dual: bool = False,
                           upper_certificate=cert)
 
 
-def _golden_min(f: Callable[[float], float], a: float, b: float,
-                iters: int = 70) -> tuple[float, float]:
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    best_x, best_v = (c, fc) if fc <= fd else (d, fd)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-            if fc < best_v:
-                best_x, best_v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-            if fd < best_v:
-                best_x, best_v = d, fd
-    return best_x, best_v
-
-
 def _shift_scan(value_of: Callable[[float], float], window: float,
                 grid_points: int, extra: tuple[float, ...]) -> tuple[float, float, tuple]:
     lams = list(np.linspace(-window, window, grid_points))
@@ -202,7 +180,7 @@ def _shift_scan(value_of: Callable[[float], float], window: float,
     # away from a grid point, and its neighbour would collapse the bracket
     span = 2.0 * window / max(grid_points - 1, 1)
     lo, hi = max(best_shift - span, -window), min(best_shift + span, window)
-    gx, gv = _golden_min(value_of, lo, hi)
+    gx, gv = golden_min(value_of, lo, hi)
     if gv < best_value:
         best_shift, best_value = float(gx), float(gv)
     return best_shift, best_value, grid

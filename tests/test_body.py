@@ -5,8 +5,9 @@ import pytest
 
 import genquot as gq
 
-from genquot.body import _gauge_lp
+from genquot.body import _gauge_lp, _inradius_descent, _unit_sphere
 from genquot import linprog
+from genquot.sampler import generator
 
 from conftest import angular_net_gauge_ratio, highs_max_gauge
 
@@ -249,6 +250,42 @@ class TestRadii:
         with pytest.raises(gq.UsageError):
             gq.radii(body)
 
+    @pytest.mark.parametrize("n,big_n", [(3, 48), (16, 118), (36, 266)])
+    def test_descent_bit_identical_to_plain_loop(self, n, big_n):
+        body = gq.make_body(n, big_n, seed(57, big_n))
+        value, direction = _inradius_descent(body, 64, seed(58, n))
+        ref_value, ref_direction = _plain_inradius_descent(body, 64, seed(58, n))
+        assert value == ref_value
+        assert direction.tobytes() == ref_direction.tobytes()
+
+
+def _plain_inradius_descent(body, restarts, sd, steps=500, decay=0.97):
+    """The subgradient descent written plainly: the reference for _inradius_descent."""
+    rng = generator(sd)
+    u = rng.normal(size=(restarts, body.n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    step = 0.3 / max(float(np.mean(body.column_norms)), 1e-12)
+    best_val = np.full(restarts, np.inf)
+    best_dir = u.copy()
+    rows = np.arange(restarts)
+    for _ in range(steps):
+        proj = u @ body.gamma
+        j = np.argmax(np.abs(proj), axis=1)
+        vals = np.abs(proj[rows, j])
+        improved = vals < best_val
+        best_val[improved] = vals[improved]
+        best_dir[improved] = u[improved]
+        grad = np.sign(proj[rows, j])[:, None] * body.gamma[:, j].T
+        u = u - step * grad
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        step *= decay
+    vals = np.max(np.abs(u @ body.gamma), axis=1)
+    improved = vals < best_val
+    best_val[improved] = vals[improved]
+    best_dir[improved] = u[improved]
+    direction = best_dir[int(np.argmin(best_val))]
+    return float(np.max(np.abs(direction @ body.gamma))), direction
+
 
 class TestMeanWidth:
     def test_cross_polytope_closed_form(self, cross2):
@@ -294,6 +331,27 @@ class TestVolumeRatio:
     def test_min_samples(self, cross2):
         with pytest.raises(gq.UsageError):
             gq.volume_ratio(cross2, 9_999, seed(1))
+
+    # facet counts 6 and 28 (no more than the screen: no screen), 194 (a draw
+    # chunk of 21620 rows ends mid-block) and 1212 (chunks of 3460 rows, under
+    # two blocks)
+    @pytest.mark.parametrize("n,big_n,sd,samples", [
+        (2, 9, seed(971), 10_001), (3, 12, seed(971), 12_345),
+        (4, 40, seed(971), 50_001), (5, 80, seed(970, 9), 30_001)])
+    def test_screened_hits_equal_full_facet_max(self, n, big_n, sd, samples):
+        body = gq.make_body(n, big_n, sd)
+        w = body.polar_vertices
+        rng = generator(seed(972))
+        chunk = (1 << 22) // w.shape[0]
+        hits = done = 0
+        while done < samples:
+            take = min(chunk, samples - done)
+            x = _unit_sphere(rng, take, n)
+            pts = x * (body.circumradius * rng.random(take) ** (1.0 / n))[:, None]
+            hits += int(np.count_nonzero(np.max(pts @ w.T, axis=1) <= 1.0 + 1e-8))
+            done += take
+        ratio = gq.volume_ratio(body, samples, seed(972))[0]
+        assert ratio == body.circumradius * (hits / samples) ** (1.0 / n)
 
 
 class TestSectionDistortion:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,16 @@ def test_version(capsys):
     assert main(["--version"]) == 0
     out = capsys.readouterr().out
     assert "genquot 1.0.0" in out and "genquot-report/1" in out
+
+
+def test_python_m_genquot_version():
+    src = str(Path(gq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "genquot", "--version"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"genquot {gq.__version__} (report schema {gq.REPORT_SCHEMA})"
 
 
 def test_unknown_flag_exits_2():
@@ -167,6 +181,35 @@ def test_bad_matrix_file_exits_2(body_file, tmp_path, capsys):
     mpath.write_text("3 3\n1 0 0\n0 1 0\n0 0 one\n")
     assert main(["opnorm", "--body", str(body_file), "--matrix", str(mpath)]) == 2
     _assert_io_error_line(capsys.readouterr().err, mpath)
+
+
+# a UTF-8 e-acute: not ASCII, so every reader must refuse it with exit 2
+_NON_ASCII = "\u00e9".encode("utf-8")
+
+
+@pytest.mark.parametrize("name,content,argv", [
+    ("body.mtx", b"GENQUOT-BODY v1 2 2 0 0\n2 2\n1 0\n0 " + _NON_ASCII + b"\n",
+     ["norm", "--vec", "1,1", "--body"]),
+    ("th.json", b'{"prop_' + _NON_ASCII + b'": 1.0}',
+     ["verify", "hsbound", "--seed", "1", "--trials", "1", "--threads", "1", "--thresholds"]),
+    ("genquot.cfg", b"trials=" + _NON_ASCII + b"\n",
+     ["verify", "hsbound", "--seed", "1", "--config"]),
+])
+def test_non_ascii_input_file_exits_2(tmp_path, capsys, name, content, argv):
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert main(argv + [str(path)]) == 2
+    _assert_io_error_line(capsys.readouterr().err, path)
+
+
+@pytest.mark.parametrize("loader", [gq.load_body, gq.read_matrix, gq.load_witness,
+                                    gq.read_thresholds, gq.read_report, gq.load_problem])
+def test_loaders_refuse_non_ascii_bytes(tmp_path, loader):
+    path = tmp_path / "input"
+    path.write_bytes(b"0." + _NON_ASCII + b"\n")
+    with pytest.raises(gq.IoError) as info:
+        loader(path)
+    assert info.value.path == str(path)
 
 
 def test_verify_writes_report_and_passes(tmp_path, capsys):
