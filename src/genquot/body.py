@@ -411,7 +411,8 @@ def radii(body: RandomQuotientBody, restarts: int = 64, seed: SeedSpec | None = 
 
 def _unit_sphere(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     x = rng.normal(size=(count, dim))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x
 
 
 def mean_width(body: RandomQuotientBody, samples: int, seed: SeedSpec) -> tuple[float, float]:

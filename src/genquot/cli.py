@@ -223,14 +223,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    body = load_body(args.body)
-    print(format(body_norm(body, args.vec), ".17g"))
-    return 0
-
-
-def _cmd_dualnorm(args) -> int:
-    body = load_body(args.body)
-    print(format(dual_norm(body, args.vec), ".17g"))
+    """`norm` (gauge) and `dualnorm` (support function) of the body at --vec."""
+    norm = dual_norm if args.command == "dualnorm" else body_norm
+    print(format(norm(load_body(args.body), args.vec), ".17g"))
     return 0
 
 
@@ -346,7 +341,7 @@ def _cmd_calibrate(args) -> int:
 _COMMANDS = {
     "sample": _cmd_sample,
     "norm": _cmd_norm,
-    "dualnorm": _cmd_dualnorm,
+    "dualnorm": _cmd_norm,
     "opnorm": _cmd_opnorm,
     "radii": _cmd_radii,
     "meanwidth": _cmd_meanwidth,

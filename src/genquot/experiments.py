@@ -4,7 +4,9 @@ Every suite is a pure function of its SuiteConfig: trials run on derived
 streams (stream = cell_index * 2^32 + trial_index * 2^16), results are folded
 in trial order, and reports serialize byte-identically regardless of the
 number of worker processes: each trial is data, (trial function, cell index,
-cell, trial index), run by one runner inline or in a process pool. Universal
+cell, trial index), run by one runner inline or in a process pool. Each suite
+is one entry of one table (job builder, summary, default grid, trial and
+sample counts), and one driver, `run_suite`, runs every suite. Universal
 constants that the theory leaves unspecified are *fitted* from the data; a
 dedicated calibration entry point freezes fitted thresholds to a JSON file
 that verification runs read back.
@@ -58,9 +60,6 @@ __all__ = [
     "write_thresholds",
     "read_thresholds",
 ]
-
-SUITE_IDS = ("lemmaA", "lemmaB", "corC", "lemmaD", "fact31", "thm22", "thm32",
-             "prop41", "prop42", "hsbound")
 
 _STRIDE_CELL = 1 << 32
 _STRIDE_TRIAL = 1 << 16
@@ -179,9 +178,10 @@ Trial = Callable[[SuiteConfig, int, tuple, int], dict]
 Job = tuple[Trial, int, tuple, int]
 
 
-def _grid_jobs(cfg: SuiteConfig, trial: Trial) -> list[Job]:
-    return [(trial, ci, cell, t) for ci, cell in enumerate(cfg.size_grid)
-            for t in range(cfg.trials)]
+def _grid_jobs(trial: Trial) -> Callable[[SuiteConfig], list[Job]]:
+    """Job builder running `trial` cfg.trials times on every grid cell."""
+    return lambda cfg: [(trial, ci, cell, t) for ci, cell in enumerate(cfg.size_grid)
+                        for t in range(cfg.trials)]
 
 
 def _run_job(cfg: SuiteConfig, job: Job) -> dict:
@@ -208,15 +208,6 @@ def _run_trials(cfg: SuiteConfig, jobs: list[Job], workers: int) -> list[dict]:
         return list(pool.map(partial(_run_job, cfg), jobs))
 
 
-def _by_cell(records: list[dict]) -> dict[str, list[dict]]:
-    """Records by cell label, in job order; error records carry no cell."""
-    groups: dict[str, list[dict]] = {}
-    for r in records:
-        if "cell" in r:
-            groups.setdefault(r["cell"], []).append(r)
-    return groups
-
-
 _UNSTABLE = 1e30  # sentinel for "not a stable positive family" (keeps JSON finite)
 
 
@@ -233,16 +224,12 @@ def _cell_label(cell: tuple[int, ...]) -> str:
     return "x".join(str(v) for v in cell)
 
 
-def _finish(cfg: SuiteConfig, records: list[dict], aggregate: dict, fitted: dict,
-            passed: bool) -> SuiteReport:
-    n_err = sum(1 for r in records if "error" in r)
-    aggregate = dict(aggregate)
-    aggregate["error_count"] = n_err
-    aggregate["error_rate"] = n_err / max(len(records), 1)
-    if aggregate["error_rate"] > 0.01:
-        passed = False
-    return SuiteReport(suite_id=cfg.suite_id, config=cfg.as_dict(), trials=records,
-                       aggregate=aggregate, fitted=fitted, passed=bool(passed))
+def _cells(cfg: SuiteConfig, records: list[dict], summary: Callable[[tuple, list[dict]], dict],
+           label: Callable[[tuple], str] = _cell_label) -> dict:
+    """summary(cell, records of that cell in job order) by cell label, over
+    the grid; error records carry no cell, so a cell may get no records."""
+    return {label(cell): summary(cell, [r for r in records if r.get("cell") == label(cell)])
+            for cell in cfg.size_grid}
 
 
 # ---------------------------------------------------------------------------
@@ -310,27 +297,25 @@ def _lemma_a_trial(cfg: SuiteConfig, ci: int, cell: tuple[int], t: int) -> dict:
     }
 
 
-def _suite_lemma_a(cfg: SuiteConfig, workers: int) -> SuiteReport:
-    dims = [c[0] for c in cfg.size_grid]
-    records = _run_trials(cfg, _grid_jobs(cfg, _lemma_a_trial), workers)
-    groups = _by_cell(records)
+def _lemma_a_cell(cell: tuple[int], rs: list[dict]) -> dict:
+    d = cell[0]
+    if not rs:
+        return {"d": d, "samples": 0, "mean_sq": 0.0, "freq_ge2": 1.0,
+                "freq_le_half": 1.0, "freq_out": 1.0}
+    total = sum(r["samples"] for r in rs)
+    return {
+        "d": d,
+        "samples": total,
+        "mean_sq": sum(r["mean_sq"] * r["samples"] for r in rs) / total,
+        "freq_ge2": sum(r["n_ge2"] for r in rs) / total,
+        "freq_le_half": sum(r["n_le_half"] for r in rs) / total,
+        "freq_out": sum(r["n_out"] for r in rs) / total,
+    }
 
-    cells: dict = {}
-    for d in dims:
-        rs = groups.get(f"d={d}")
-        if not rs:
-            cells[f"d={d}"] = {"d": d, "samples": 0, "mean_sq": 0.0, "freq_ge2": 1.0,
-                               "freq_le_half": 1.0, "freq_out": 1.0}
-            continue
-        total = sum(r["samples"] for r in rs)
-        cells[f"d={d}"] = {
-            "d": d,
-            "samples": total,
-            "mean_sq": sum(r["mean_sq"] * r["samples"] for r in rs) / total,
-            "freq_ge2": sum(r["n_ge2"] for r in rs) / total,
-            "freq_le_half": sum(r["n_le_half"] for r in rs) / total,
-            "freq_out": sum(r["n_out"] for r in rs) / total,
-        }
+
+def _lemma_a_summary(cfg: SuiteConfig, records: list[dict]) -> tuple[dict, dict, bool]:
+    dims = [c[0] for c in cfg.size_grid]
+    cells = _cells(cfg, records, _lemma_a_cell, label=lambda cell: f"d={cell[0]}")
 
     fitted: dict = {}
     decay_pts = [(d, cells[f"d={d}"]["freq_out"]) for d in dims if cells[f"d={d}"]["freq_out"] > 0]
@@ -339,30 +324,22 @@ def _suite_lemma_a(cfg: SuiteConfig, workers: int) -> SuiteReport:
         fitted["c0"] = fit.constant
         fitted["c0_residual"] = fit.residual
 
-    passed = True
     checks: dict = {}
     mean_tol = cfg.threshold("lemmaA_mean_tol")
     for d in dims:
         if d >= 100:
-            ok = abs(cells[f"d={d}"]["mean_sq"] - 1.0) <= mean_tol
-            checks[f"mean_sq_d{d}"] = ok
-            passed &= ok
+            checks[f"mean_sq_d{d}"] = abs(cells[f"d={d}"]["mean_sq"] - 1.0) <= mean_tol
         if d >= 20:
-            ok = cells[f"d={d}"]["freq_ge2"] == 0.0
-            checks[f"tail_d{d}"] = ok
-            passed &= ok
+            checks[f"tail_d{d}"] = cells[f"d={d}"]["freq_ge2"] == 0.0
         if d == 20:
-            ok = cells[f"d={d}"]["freq_le_half"] <= cfg.threshold("lemmaA_smallball_cap")
-            checks["smallball_d20"] = ok
-            passed &= ok
+            checks["smallball_d20"] = (cells[f"d={d}"]["freq_le_half"]
+                                       <= cfg.threshold("lemmaA_smallball_cap"))
     factor = cfg.threshold("lemmaA_decay_factor")
     for d in dims:
         if 2 * d in dims:
             f1, f2 = cells[f"d={d}"]["freq_out"], cells[f"d={2 * d}"]["freq_out"]
-            ok = (f2 == 0.0) or (f1 > 0 and f2 <= f1 / factor)
-            checks[f"decay_{d}_to_{2 * d}"] = ok
-            passed &= ok
-    return _finish(cfg, records, {"cells": cells, "checks": checks}, fitted, passed)
+            checks[f"decay_{d}_to_{2 * d}"] = (f2 == 0.0) or (f1 > 0 and f2 <= f1 / factor)
+    return {"cells": cells, "checks": checks}, fitted, all(checks.values())
 
 
 def _lemma_b_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dict:
@@ -380,30 +357,24 @@ def _lemma_b_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> 
     }
 
 
-def _suite_lemma_b(cfg: SuiteConfig, workers: int) -> SuiteReport:
-    records = _run_trials(cfg, _grid_jobs(cfg, _lemma_b_trial), workers)
-    groups = _by_cell(records)
+def _lemma_b_cell(cell: tuple[int, int], rs: list[dict]) -> dict:
+    if not rs:
+        return {"violations": 1, "min_sv": 0.0, "max_sv": 0.0}
+    return {
+        "violations": sum(r["violations"] for r in rs),
+        "min_sv": min(r["min_sv"] for r in rs),
+        "max_sv": max(r["max_sv"] for r in rs),
+    }
 
-    cells: dict = {}
-    for cell in cfg.size_grid:
-        label = _cell_label(cell)
-        rs = groups.get(label)
-        if not rs:
-            cells[label] = {"violations": 1, "min_sv": 0.0, "max_sv": 0.0}
-            continue
-        cells[label] = {
-            "violations": sum(r["violations"] for r in rs),
-            "min_sv": min(r["min_sv"] for r in rs),
-            "max_sv": max(r["max_sv"] for r in rs),
-        }
+
+def _lemma_b_summary(cfg: SuiteConfig, records: list[dict]) -> tuple[dict, dict, bool]:
+    cells = _cells(cfg, records, _lemma_b_cell)
     total_violations = sum(c["violations"] for c in cells.values())
     fitted = {
         "c": min(c["min_sv"] for c in cells.values()),
         "C": max(c["max_sv"] for c in cells.values()),
     }
-    passed = total_violations == 0
-    return _finish(cfg, records, {"cells": cells, "total_violations": total_violations},
-                   fitted, passed)
+    return {"cells": cells, "total_violations": total_violations}, fitted, total_violations == 0
 
 
 def _radii_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dict:
@@ -419,28 +390,24 @@ def _radii_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> di
     }
 
 
-def _suite_cor_c(cfg: SuiteConfig, workers: int) -> SuiteReport:
-    records = _run_trials(cfg, _grid_jobs(cfg, _radii_trial), workers)
-    groups = _by_cell(records)
+def _cor_c_summary(cfg: SuiteConfig, records: list[dict]) -> tuple[dict, dict, bool]:
     floor = cfg.threshold("corC_c_floor")
 
-    cells: dict = {}
-    for cell in cfg.size_grid:
-        label = _cell_label(cell)
-        rs = groups.get(label)
+    def cell_summary(cell: tuple[int, int], rs: list[dict]) -> dict:
         if not rs:
-            cells[label] = {"c_median": 0.0, "c_min": 0.0, "frac_above_floor": 0.0}
-            continue
+            return {"c_median": 0.0, "c_min": 0.0, "frac_above_floor": 0.0}
         stats = [r["inradius"] * math.sqrt(r["k"]) for r in rs]
-        cells[label] = {
+        return {
             "c_median": float(np.median(stats)),
             "c_min": float(np.min(stats)),
             "frac_above_floor": float(np.mean([s >= floor for s in stats])),
         }
+
+    cells = _cells(cfg, records, cell_summary)
     meds = [c["c_median"] for c in cells.values()]
     fitted = {"c": min(meds), "c_stability": _stability(meds)}
     passed = all(m > 0 for m in meds) and fitted["c_stability"] <= cfg.threshold("corC_stability")
-    return _finish(cfg, records, {"cells": cells}, fitted, passed)
+    return {"cells": cells}, fitted, passed
 
 
 def _lemma_d_volume_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dict:
@@ -464,37 +431,33 @@ def _lemma_d_radii_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: in
     return rec
 
 
-def _suite_lemma_d(cfg: SuiteConfig, workers: int) -> SuiteReport:
+def _lemma_d_jobs(cfg: SuiteConfig) -> list[Job]:
     jobs: list[Job] = []
     for ci, cell in enumerate(cfg.size_grid):
         if cell[0] <= VOLUME_DIM_CAP:
             jobs += [(_lemma_d_volume_trial, ci, cell, t) for t in range(cfg.volume_trials)]
         else:
             jobs += [(_lemma_d_radii_trial, ci, cell, t) for t in range(cfg.trials)]
-    records = _run_trials(cfg, jobs, workers)
-    groups = _by_cell(records)
+    return jobs
 
-    cells: dict = {}
-    cprime_meds: list[float] = []
-    cbig_maxes: list[float] = []
-    for cell in cfg.size_grid:
-        label = _cell_label(cell)
-        rs = groups.get(label)
-        if not rs:
-            cells[label] = {"kind": "missing"}
-            cprime_meds.append(0.0)
-            continue
-        if rs[0]["kind"] == "volume":
-            stats = [r["Cprime_stat"] for r in rs]
-            cells[label] = {"kind": "volume", "Cprime_max": float(np.max(stats)),
-                            "Cprime_median": float(np.median(stats))}
-            cbig_maxes.append(cells[label]["Cprime_max"])
-        else:
-            stats = [r["cprime_stat"] for r in rs]
-            cells[label] = {"kind": "radii", "cprime_median": float(np.median(stats)),
-                            "cprime_min": float(np.min(stats))}
-            cprime_meds.append(cells[label]["cprime_median"])
 
+def _lemma_d_cell(cell: tuple[int, int], rs: list[dict]) -> dict:
+    if not rs:
+        return {"kind": "missing"}
+    if rs[0]["kind"] == "volume":
+        stats = [r["Cprime_stat"] for r in rs]
+        return {"kind": "volume", "Cprime_max": float(np.max(stats)),
+                "Cprime_median": float(np.median(stats))}
+    stats = [r["cprime_stat"] for r in rs]
+    return {"kind": "radii", "cprime_median": float(np.median(stats)),
+            "cprime_min": float(np.min(stats))}
+
+
+def _lemma_d_summary(cfg: SuiteConfig, records: list[dict]) -> tuple[dict, dict, bool]:
+    cells = _cells(cfg, records, _lemma_d_cell)
+    # a missing cell counts as an inradius cell with constant 0
+    cprime_meds = [c.get("cprime_median", 0.0) for c in cells.values() if c["kind"] != "volume"]
+    cbig_maxes = [c["Cprime_max"] for c in cells.values() if c["kind"] == "volume"]
     fitted: dict = {}
     passed = True
     stab_cap = cfg.threshold("lemmaD_stability")
@@ -506,7 +469,7 @@ def _suite_lemma_d(cfg: SuiteConfig, workers: int) -> SuiteReport:
         fitted["Cprime"] = max(cbig_maxes)
         fitted["Cprime_stability"] = _stability(cbig_maxes)
         passed &= fitted["Cprime_stability"] <= stab_cap
-    return _finish(cfg, records, {"cells": cells}, fitted, passed)
+    return {"cells": cells}, fitted, passed
 
 
 def _fact31_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dict:
@@ -537,24 +500,19 @@ def _fact31_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> d
     return rec
 
 
-def _suite_fact31(cfg: SuiteConfig, workers: int) -> SuiteReport:
-    records = _run_trials(cfg, _grid_jobs(cfg, _fact31_trial), workers)
-    groups = _by_cell(records)
+def _fact31_cell(cell: tuple[int, int], rs: list[dict]) -> dict:
+    if not rs:
+        return {"mw_ratio_max": _UNSTABLE, "section_C_max": _UNSTABLE, "fact32_c1": 0.0}
+    sec = [v for r in rs for k, v in r.items() if k.startswith("section_C_")]
+    return {
+        "mw_ratio_max": max(r["mw_ratio"] for r in rs),
+        "section_C_max": max(sec),
+        "fact32_c1": min(r["fact32_ratio"] for r in rs),
+    }
 
-    cells: dict = {}
-    for cell in cfg.size_grid:
-        label = _cell_label(cell)
-        rs = groups.get(label)
-        if not rs:
-            cells[label] = {"mw_ratio_max": _UNSTABLE, "section_C_max": _UNSTABLE,
-                            "fact32_c1": 0.0}
-            continue
-        sec = [v for r in rs for k, v in r.items() if k.startswith("section_C_")]
-        cells[label] = {
-            "mw_ratio_max": max(r["mw_ratio"] for r in rs),
-            "section_C_max": max(sec),
-            "fact32_c1": min(r["fact32_ratio"] for r in rs),
-        }
+
+def _fact31_summary(cfg: SuiteConfig, records: list[dict]) -> tuple[dict, dict, bool]:
+    cells = _cells(cfg, records, _fact31_cell)
     fitted = {
         "c2_meanwidth": max(c["mw_ratio_max"] for c in cells.values()),
         "C_section": max(c["section_C_max"] for c in cells.values()),
@@ -564,7 +522,7 @@ def _suite_fact31(cfg: SuiteConfig, workers: int) -> SuiteReport:
     passed = (fitted["c2_meanwidth"] <= cfg.threshold("fact31_c2")
               and fitted["c1_fact32"] > 0
               and fitted["C_section_stability"] <= cfg.threshold("fact31_stability"))
-    return _finish(cfg, records, {"cells": cells}, fitted, passed)
+    return {"cells": cells}, fitted, passed
 
 
 def _operator_for_trial(n: int, t: int, trials: int, sd: SeedSpec) -> np.ndarray:
@@ -593,21 +551,19 @@ def _thm22_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> di
     }
 
 
-def _suite_thm22(cfg: SuiteConfig, workers: int) -> SuiteReport:
-    records = _run_trials(cfg, _grid_jobs(cfg, _thm22_trial), workers)
-    groups = _by_cell(records)
+def _thm22_cell(cell: tuple[int, int], rs: list[dict]) -> dict:
+    if not rs:
+        return {"K_fit": 0.0, "K_bracket_fit": 0.0}
+    return {"K_fit": float(np.mean([r["ratio"] for r in rs])),
+            "K_bracket_fit": float(np.mean([r["bracket_upper_ratio"] for r in rs]))}
 
-    cells: dict = {}
+
+def _thm22_summary(cfg: SuiteConfig, records: list[dict]) -> tuple[dict, dict, bool]:
+    cells = _cells(cfg, records, _thm22_cell)
     id_ok = True
     for ci, cell in enumerate(cfg.size_grid):
         n, big_n = cell
         label = _cell_label(cell)
-        rs = groups.get(label)
-        if not rs:
-            cells[label] = {"K_fit": 0.0, "K_bracket_fit": 0.0}
-        else:
-            cells[label] = {"K_fit": float(np.mean([r["ratio"] for r in rs])),
-                            "K_bracket_fit": float(np.mean([r["bracket_upper_ratio"] for r in rs]))}
         # multiples of the identity must give an exactly zero shifted proxy
         body = make_body(n, big_n, _seed(cfg, ci, 0))
         res = min_over_shifts(body, 1.5 * np.eye(n), k=n // 2, opnorm=1.5, cert_samples=0)
@@ -619,7 +575,7 @@ def _suite_thm22(cfg: SuiteConfig, workers: int) -> SuiteReport:
     growth = ks[-1] / ks[0] if ks[0] > 0 else _UNSTABLE
     fitted["K_growth"] = growth
     passed = id_ok and growth <= cfg.threshold("thm22_growth")
-    return _finish(cfg, records, {"cells": cells, "identity_exact": id_ok}, fitted, passed)
+    return {"cells": cells, "identity_exact": id_ok}, fitted, passed
 
 
 def _thm32_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dict:
@@ -640,19 +596,15 @@ def _thm32_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> di
     }
 
 
-def _suite_thm32(cfg: SuiteConfig, workers: int) -> SuiteReport:
-    records = _run_trials(cfg, _grid_jobs(cfg, _thm32_trial), workers)
-    groups = _by_cell(records)
+def _thm32_cell(cell: tuple[int, int], rs: list[dict]) -> dict:
+    if not rs:
+        return {"c_fit": 0.0, "floor_fit": 0.0}
+    return {"c_fit": float(np.mean([r["ratio_a"] for r in rs])),
+            "floor_fit": float(np.mean([r["ratio_b"] for r in rs]))}
 
-    cells: dict = {}
-    for cell in cfg.size_grid:
-        label = _cell_label(cell)
-        rs = groups.get(label)
-        if not rs:
-            cells[label] = {"c_fit": 0.0, "floor_fit": 0.0}
-        else:
-            cells[label] = {"c_fit": float(np.mean([r["ratio_a"] for r in rs])),
-                            "floor_fit": float(np.mean([r["ratio_b"] for r in rs]))}
+
+def _thm32_summary(cfg: SuiteConfig, records: list[dict]) -> tuple[dict, dict, bool]:
+    cells = _cells(cfg, records, _thm32_cell)
     cs = [cells[_cell_label(c)]["c_fit"] for c in cfg.size_grid]
     floors = [cells[_cell_label(c)]["floor_fit"] for c in cfg.size_grid]
     fitted = {"c": max(cs), "c_stability": _stability(cs),
@@ -660,7 +612,7 @@ def _suite_thm32(cfg: SuiteConfig, workers: int) -> SuiteReport:
     passed = (fitted["c_stability"] <= cfg.threshold("thm32_stability")
               and floors[0] > 0
               and floors[-1] >= cfg.threshold("thm32_floor_factor") * floors[0])
-    return _finish(cfg, records, {"cells": cells}, fitted, passed)
+    return {"cells": cells}, fitted, passed
 
 
 def _prop41_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dict:
@@ -686,8 +638,7 @@ def _prop41_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> d
     return rec
 
 
-def _suite_prop41(cfg: SuiteConfig, workers: int) -> SuiteReport:
-    records = _run_trials(cfg, _grid_jobs(cfg, _prop41_trial), workers)
+def _prop41_summary(cfg: SuiteConfig, records: list[dict]) -> tuple[dict, dict, bool]:
     succ = [r for r in records if r.get("success")]
     rate = len(succ) / max(len(records), 1)
     fitted = {
@@ -700,7 +651,7 @@ def _suite_prop41(cfg: SuiteConfig, workers: int) -> SuiteReport:
     if succ:
         passed &= fitted["iso_max"] <= cfg.threshold("l1_iso_max")
         passed &= fitted["compl_max"] <= cfg.threshold("l1_compl_max")
-    return _finish(cfg, records, {"success_rate": rate}, fitted, passed)
+    return {"success_rate": rate}, fitted, passed
 
 
 _ALPHA_GRID = (0.25, 0.5, 1.0)  # prop42 relaxed mode: N = round(16^(1 + alpha))
@@ -741,13 +692,13 @@ def _prop42_alpha_trial(cfg: SuiteConfig, ci: int, alpha: float, t: int) -> dict
     }
 
 
-def _suite_prop42(cfg: SuiteConfig, workers: int) -> SuiteReport:
-    jobs = _grid_jobs(cfg, _prop42_main_trial)
-    jobs += [(_prop42_alpha_trial, ci, alpha, t)
-             for ci, alpha in enumerate(_ALPHA_GRID) for t in range(cfg.trials)]
-    records = _run_trials(cfg, jobs, workers)
-    groups = _by_cell(records)
+def _prop42_jobs(cfg: SuiteConfig) -> list[Job]:
+    return _grid_jobs(_prop42_main_trial)(cfg) + [
+        (_prop42_alpha_trial, ci, alpha, t)
+        for ci, alpha in enumerate(_ALPHA_GRID) for t in range(cfg.trials)]
 
+
+def _prop42_summary(cfg: SuiteConfig, records: list[dict]) -> tuple[dict, dict, bool]:
     main = [r for r in records if r.get("mode") == "main"]
     rate = float(np.mean([bool(r.get("success")) for r in main])) if main else 0.0
     fitted = {
@@ -756,24 +707,17 @@ def _suite_prop42(cfg: SuiteConfig, workers: int) -> SuiteReport:
         "compl_max": max((r["compl_constant"] for r in main), default=0.0),
         "C1_rzut": max((r["rzut_stat"] for r in main), default=0.0),
     }
-    compl_by_alpha = []
-    alpha_complete = True
+    means = []  # None for an alpha cell whose every trial failed
     for alpha in _ALPHA_GRID:
-        rs = groups.get(f"alpha={alpha}")
-        if not rs:
-            alpha_complete = False
-            fitted[f"compl_alpha_{alpha}"] = 0.0
-            continue
-        val = float(np.mean([r["compl_constant"] for r in rs]))
-        fitted[f"compl_alpha_{alpha}"] = val
-        compl_by_alpha.append(val)
-    alpha_monotone = alpha_complete and all(
-        a >= b - 1e-12 for a, b in zip(compl_by_alpha, compl_by_alpha[1:]))
+        rs = [r["compl_constant"] for r in records if r.get("cell") == f"alpha={alpha}"]
+        means.append(float(np.mean(rs)) if rs else None)
+        fitted[f"compl_alpha_{alpha}"] = means[-1] if rs else 0.0
+    alpha_monotone = None not in means and all(
+        a >= b - 1e-12 for a, b in zip(means, means[1:]))
     passed = (rate >= cfg.threshold("prop_success_rate")
               and all(r.get("reverify_ok", False) for r in main)
               and alpha_monotone)
-    return _finish(cfg, records, {"success_rate": rate, "alpha_monotone": alpha_monotone},
-                   fitted, passed)
+    return {"success_rate": rate, "alpha_monotone": alpha_monotone}, fitted, passed
 
 
 def _hsbound_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> dict:
@@ -786,60 +730,45 @@ def _hsbound_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> 
             "stream": sd.stream_index, "hs": hs, "bound": bound, "ok": bool(ok)}
 
 
-def _suite_hsbound(cfg: SuiteConfig, workers: int) -> SuiteReport:
-    records = _run_trials(cfg, _grid_jobs(cfg, _hsbound_trial), workers)
+def _hsbound_summary(cfg: SuiteConfig, records: list[dict]) -> tuple[dict, dict, bool]:
     violations = sum(1 for r in records if not r.get("ok", False))
     slack = min((r["bound"] - r["hs"] for r in records if "hs" in r), default=0.0)
-    return _finish(cfg, records, {"violations": violations, "min_slack": slack},
-                   {"hs_margin": slack}, violations == 0)
+    return {"violations": violations, "min_slack": slack}, {"hs_margin": slack}, violations == 0
 
 
-_SUITES: dict[str, Callable[[SuiteConfig, int], SuiteReport]] = {
-    "lemmaA": _suite_lemma_a,
-    "lemmaB": _suite_lemma_b,
-    "corC": _suite_cor_c,
-    "lemmaD": _suite_lemma_d,
-    "fact31": _suite_fact31,
-    "thm22": _suite_thm22,
-    "thm32": _suite_thm32,
-    "prop41": _suite_prop41,
-    "prop42": _suite_prop42,
-    "hsbound": _suite_hsbound,
-}
+@dataclass(frozen=True)
+class _Suite:
+    """One suite: its jobs, the summary folding their records into
+    (aggregate, fitted, passed), and its acceptance-scale defaults."""
 
-_DEFAULT_GRIDS: dict[str, tuple] = {
-    "lemmaA": ((10,), (20,), (40,), (80,), (100,)),
-    "lemmaB": ((25, 50), (50, 100), (100, 200)),
-    "corC": ((16, 32), (25, 50), (36, 72)),
+    jobs: Callable[[SuiteConfig], list[Job]]
+    summary: Callable[[SuiteConfig, list[dict]], tuple[dict, dict, bool]]
+    grid: tuple[tuple[int, ...], ...]
+    trials: int
+    samples: int = 0
+
+
+_SUITES: dict[str, _Suite] = {
+    "lemmaA": _Suite(_grid_jobs(_lemma_a_trial), _lemma_a_summary,
+                     ((10,), (20,), (40,), (80,), (100,)), 100, samples=1000),
+    "lemmaB": _Suite(_grid_jobs(_lemma_b_trial), _lemma_b_summary,
+                     ((25, 50), (50, 100), (100, 200)), 200),
+    "corC": _Suite(_grid_jobs(_radii_trial), _cor_c_summary,
+                   ((16, 32), (25, 50), (36, 72)), 50),
     # e^2 and e^4 aspect ratios for the inradius fit, low dims for volume
-    "lemmaD": ((16, 118), (16, 874), (25, 185), (25, 1365), (36, 266), (36, 1966),
-               (3, 48), (4, 64), (5, 80)),
-    "fact31": ((16, 256), (24, 576)),
-    "thm22": ((8, 16), (16, 32), (32, 64)),
-    "thm32": ((8, 64), (16, 256)),
-    "prop41": ((36, 1296),),
-    "prop42": ((9, 81), (16, 256)),
-    "hsbound": ((8, 64), (16, 128)),
+    "lemmaD": _Suite(_lemma_d_jobs, _lemma_d_summary,
+                     ((16, 118), (16, 874), (25, 185), (25, 1365), (36, 266), (36, 1966),
+                      (3, 48), (4, 64), (5, 80)), 50, samples=100_000),
+    "fact31": _Suite(_grid_jobs(_fact31_trial), _fact31_summary,
+                     ((16, 256), (24, 576)), 10, samples=10_000),
+    "thm22": _Suite(_grid_jobs(_thm22_trial), _thm22_summary,
+                    ((8, 16), (16, 32), (32, 64)), 40),
+    "thm32": _Suite(_grid_jobs(_thm32_trial), _thm32_summary, ((8, 64), (16, 256)), 40),
+    "prop41": _Suite(_grid_jobs(_prop41_trial), _prop41_summary, ((36, 1296),), 50),
+    "prop42": _Suite(_prop42_jobs, _prop42_summary, ((9, 81), (16, 256)), 50),
+    "hsbound": _Suite(_grid_jobs(_hsbound_trial), _hsbound_summary, ((8, 64), (16, 128)), 50),
 }
-
-_DEFAULT_TRIALS: dict[str, int] = {
-    "lemmaA": 100,
-    "lemmaB": 200,
-    "corC": 50,
-    "lemmaD": 50,
-    "fact31": 10,
-    "thm22": 40,
-    "thm32": 40,
-    "prop41": 50,
-    "prop42": 50,
-    "hsbound": 50,
-}
-
-_DEFAULT_SAMPLES: dict[str, int] = {
-    "lemmaA": 1000,
-    "lemmaD": 100_000,
-    "fact31": 10_000,
-}
+SUITE_IDS = tuple(_SUITES)
 
 
 def default_config(suite_id: str, master_seed: int, trials: int | None = None,
@@ -847,15 +776,16 @@ def default_config(suite_id: str, master_seed: int, trials: int | None = None,
                    size_grid: tuple | None = None,
                    samples: int | None = None) -> SuiteConfig:
     """Acceptance-scale configuration for a suite with optional overrides."""
-    if suite_id not in SUITE_IDS:
+    if suite_id not in _SUITES:
         raise UsageError(f"unknown suite id {suite_id!r}; known: {', '.join(SUITE_IDS)}")
+    suite = _SUITES[suite_id]
     return SuiteConfig(
         suite_id=suite_id,
-        trials=trials if trials is not None else _DEFAULT_TRIALS[suite_id],
+        trials=trials if trials is not None else suite.trials,
         master_seed=master_seed,
-        size_grid=size_grid if size_grid is not None else _DEFAULT_GRIDS[suite_id],
+        size_grid=size_grid if size_grid is not None else suite.grid,
         thresholds=dict(thresholds) if thresholds else {},
-        samples=samples if samples is not None else _DEFAULT_SAMPLES.get(suite_id, 0),
+        samples=samples if samples is not None else suite.samples,
     )
 
 
@@ -863,9 +793,17 @@ def run_suite(config: SuiteConfig, threads: int = 1) -> SuiteReport:
     """Run one verification suite; deterministic given the config alone.
 
     threads is the number of worker processes the trials run in (1: inline,
-    in this process); it changes run time only, never the report bytes.
+    in this process); it changes run time only, never the report bytes. A
+    suite fails when more than 1% of its trials end in an error record.
     """
-    return _SUITES[config.suite_id](config, max(int(threads), 1))
+    suite = _SUITES[config.suite_id]
+    records = _run_trials(config, suite.jobs(config), max(int(threads), 1))
+    aggregate, fitted, passed = suite.summary(config, records)
+    n_err = sum(1 for r in records if "error" in r)
+    aggregate = {**aggregate, "error_count": n_err, "error_rate": n_err / max(len(records), 1)}
+    return SuiteReport(suite_id=config.suite_id, config=config.as_dict(), trials=records,
+                       aggregate=aggregate, fitted=fitted,
+                       passed=bool(passed) and aggregate["error_rate"] <= 0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -342,10 +342,16 @@ def load_problem(path) -> LPProblem:
     for ln in lines:
         head = ln.split(" ", 1)[0]
         if head in ("rhs", "objective"):
-            records[head] = np.array([float(t) for t in ln.split()[1:]])
+            try:
+                records[head] = np.array([float(t) for t in ln.split()[1:]])
+            except ValueError as exc:
+                raise IoError(path, f"{head} record has a non-numeric entry: {exc}") from exc
         else:
             matrix_lines.append(ln)
     if set(records) != {"rhs", "objective"}:
         raise IoError(path, "LP dump must contain rhs and objective records")
-    a = parse_matrix("\n".join(matrix_lines))
+    try:
+        a = parse_matrix("\n".join(matrix_lines))
+    except IoError as exc:
+        raise IoError(path, exc.message) from exc
     return LPProblem(constraint_matrix=a, rhs=records["rhs"], objective=records["objective"])

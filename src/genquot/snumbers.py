@@ -115,11 +115,7 @@ def _restriction_certificate(body: RandomQuotientBody, t: np.ndarray, k: int,
     right singular directions (a codim k-1 subspace, hence an upper-bound
     witness subspace for the k-th Gelfand number)."""
     z_basis = right_basis[:, k - 1:]
-    norm: Callable[[np.ndarray], float]
-    if dual:
-        norm = lambda v: dual_norm(body, v)  # noqa: E731
-    else:
-        norm = lambda v: body_norm(body, v)  # noqa: E731
+    norm = dual_norm if dual else body_norm
     rng = generator(body.seed.child(0xCE27))
     raw = rng.normal(size=(samples, body.n))
     proj = raw @ z_basis @ z_basis.T
@@ -127,10 +123,10 @@ def _restriction_certificate(body: RandomQuotientBody, t: np.ndarray, k: int,
     dirs = [z_basis[:, 0]] + [p / np.linalg.norm(p) for p in proj[keep]]
     best = 0.0
     for z in dirs:
-        denom = norm(z)
+        denom = norm(body, z)
         if denom <= 1e-14:
             continue
-        best = max(best, norm(t @ z) / denom)
+        best = max(best, norm(body, t @ z) / denom)
     return best
 
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+from pathlib import Path
+from unittest.mock import ANY
 
 import numpy as np
 import pytest
@@ -10,10 +12,21 @@ import genquot as gq
 from genquot.experiments import DEFAULT_THRESHOLDS, SuiteConfig
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
 def tiny(suite, **kw):
     defaults = dict(master_seed=202, trials=3)
     defaults.update(kw)
     return gq.default_config(suite, **defaults)
+
+
+def test_suite_ids_agree_with_schema_and_readme():
+    schema = json.loads((REPO / "report-schema.json").read_text())
+    assert tuple(schema["properties"]["suite"]["enum"]) == gq.SUITE_IDS
+    readme = (REPO / "README.md").read_text().split("## Verification suites", 1)[1]
+    table = {line.split("`")[1] for line in readme.splitlines() if line.startswith("| `")}
+    assert table == set(gq.SUITE_IDS)
 
 
 class TestFitConstant:
@@ -72,6 +85,35 @@ class TestSuiteConfig:
     def test_builtin_threshold_fallback(self):
         cfg = tiny("corC")
         assert cfg.threshold("corC_stability") == DEFAULT_THRESHOLDS["corC_stability"]
+
+
+# Small configs in which every trial of grid cell 1 fails: suite id ->
+# (config overrides, failed trials, {(report part, key): value after the
+# failure}). thm22 is absent: its identity check builds each cell's body
+# outside the trial guard, so the injected error propagates from run_suite.
+_MISSING_CELL = {
+    "lemmaA": (dict(trials=2, samples=200, size_grid=((10,), (20,))), 2, {
+        ("aggregate", "cells"): {"d=10": ANY, "d=20": {
+            "d": 20, "samples": 0, "mean_sq": 0.0, "freq_ge2": 1.0,
+            "freq_le_half": 1.0, "freq_out": 1.0}}}),
+    "lemmaB": (dict(trials=2, size_grid=((4, 8), (5, 10))), 2, {
+        ("aggregate", "cells"): {"4x8": ANY,
+                                 "5x10": {"violations": 1, "min_sv": 0.0, "max_sv": 0.0}}}),
+    "corC": (dict(trials=2, size_grid=((4, 8), (5, 10))), 2, {
+        ("aggregate", "cells"): {"4x8": ANY, "5x10": {
+            "c_median": 0.0, "c_min": 0.0, "frac_above_floor": 0.0}}}),
+    "lemmaD": (dict(trials=2, samples=10_000, size_grid=((3, 48), (9, 36))), 2, {
+        ("aggregate", "cells"): {"3x48": ANY, "9x36": {"kind": "missing"}}}),
+    "fact31": (dict(trials=1, samples=1_000, size_grid=((6, 24), (6, 36))), 1, {
+        ("aggregate", "cells"): {"6x24": ANY, "6x36": {
+            "mw_ratio_max": 1e30, "section_C_max": 1e30, "fact32_c1": 0.0}}}),
+    "thm32": (dict(trials=2, size_grid=((6, 24), (8, 32))), 2, {
+        ("aggregate", "cells"): {"6x24": ANY, "8x32": {"c_fit": 0.0, "floor_fit": 0.0}}}),
+    "prop41": (dict(trials=2, size_grid=((9, 81), (16, 128))), 2, {}),
+    "prop42": (dict(trials=2, size_grid=((9, 81), (16, 256))), 4, {
+        ("fitted", "compl_alpha_0.5"): 0.0, ("aggregate", "alpha_monotone"): False}),
+    "hsbound": (dict(trials=2, size_grid=((4, 8), (5, 10))), 2, {}),
+}
 
 
 class TestRunSuite:
@@ -135,6 +177,30 @@ class TestRunSuite:
         assert two == one
         assert two.aggregate["error_count"] == 4
         assert [r.get("error") for r in two.trials[:2]] == [None, "SolverStall: synthetic stall"]
+
+    @pytest.mark.parametrize("suite", list(_MISSING_CELL))
+    def test_cell_with_every_trial_failed(self, monkeypatch, tmp_path, thresholds, suite):
+        import genquot.experiments as ex
+
+        kw, failures, placeholders = _MISSING_CELL[suite]
+        real_body, real_gaussian = ex.make_body, ex.gaussian_matrix
+
+        def fail_cell(sd):
+            if sd.stream_index // (1 << 32) in (1, 101):  # grid cell 1, prop42 alpha cell 1
+                raise gq.NumericError("injected failure")
+
+        monkeypatch.setattr(ex, "make_body",
+                            lambda n, big_n, sd: fail_cell(sd) or real_body(n, big_n, sd))
+        monkeypatch.setattr(ex, "gaussian_matrix",
+                            lambda r, c, v, sd: fail_cell(sd) or real_gaussian(r, c, v, sd))
+        rep = gq.run_suite(gq.default_config(suite, master_seed=7, thresholds=thresholds, **kw))
+        path = tmp_path / "rep.json"
+        gq.write_report(rep, "json", path)  # refuses NaN and infinities
+        payload = json.loads(path.read_text())
+        assert payload["pass"] is False
+        assert payload["aggregate"]["error_count"] == failures
+        for (part, key), expected in placeholders.items():
+            assert payload[part][key] == expected
 
     def test_usage_error_in_pooled_trial_reaches_parent(self):
         # prop42 main trials read l2_distortion_max, which no default supplies

@@ -150,3 +150,16 @@ def test_dump_and_load_problem(tmp_path):
     assert q.objective.tobytes() == p.objective.tobytes()
     with pytest.raises(gq.IoError):
         gq.load_problem(tmp_path / "missing.lp")
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("1 2\n1 0\nrhs x\nobjective 1 1\n", "rhs record has a non-numeric entry"),
+    ("1 2\n1 y\nrhs 1\nobjective 1 1\n", "row 0 has a non-numeric entry"),
+], ids=["bad-rhs", "bad-matrix-row"])
+def test_load_problem_bad_entry_is_io_error_naming_file(tmp_path, text, detail):
+    path = tmp_path / "bad.lp"
+    path.write_text(text)
+    with pytest.raises(gq.IoError) as err:
+        gq.load_problem(path)
+    assert err.value.path == str(path)
+    assert detail in err.value.message
