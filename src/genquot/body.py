@@ -91,6 +91,11 @@ class RandomQuotientBody:
             raise NumericError("convex hull does not contain the origin")
         return normals / offsets[:, None]
 
+    @cached_property
+    def plus_minus(self) -> np.ndarray:
+        """[Gamma, -Gamma]: the constraint matrix of the full gauge LP."""
+        return np.hstack([self.gamma, -self.gamma])
+
 
 @dataclass(frozen=True)
 class RadiiEstimate:
@@ -132,8 +137,7 @@ def body_from_matrix(gamma, seed: SeedSpec = SeedSpec(0, 0)) -> RandomQuotientBo
 
 def _solve_gauge_subset(body: RandomQuotientBody, x: np.ndarray, subset: np.ndarray,
                         start_basis: np.ndarray | None = None) -> LPSolution:
-    cols = body.gamma[:, subset]
-    a = np.hstack([cols, -cols])
+    a = body.plus_minus[:, np.concatenate([subset, body.N + subset])]
     return solve_lp(LPProblem(constraint_matrix=a, rhs=x, objective=np.ones(2 * subset.size)),
                     start_basis=start_basis)
 
@@ -164,8 +168,8 @@ def _gauge_lp(body: RandomQuotientBody, x: np.ndarray,
     returned basis carries global labels too.
     """
     if 2 * body.N <= 1024:
-        a = np.hstack([body.gamma, -body.gamma])
-        sol = solve_lp(LPProblem(constraint_matrix=a, rhs=x, objective=np.ones(2 * body.N)),
+        sol = solve_lp(LPProblem(constraint_matrix=body.plus_minus, rhs=x,
+                                 objective=np.ones(2 * body.N)),
                        start_basis=start_basis)
         if sol.status == "infeasible":
             raise NotInSpan("point lies outside the column span of gamma")

@@ -7,9 +7,11 @@ against cycling. The working RHS carries a tiny deterministic perturbation
 that removes primal degeneracy (the l1-gauge instances are extremely
 degenerate); the reported point and objective are recomputed from the exact
 RHS with the final optimal basis. Phase 1 uses artificial variables;
-redundant rows discovered there are eliminated before phase 2. All pivot
-choices are index-deterministic, so identical inputs produce identical
-solutions. solve_lp is a pure function of its arguments and thread-safe.
+redundant rows discovered there are eliminated before phase 2. Every pivot
+choice and every reported float is a function of the inputs only: ties go to
+the lowest index, and the pivot loop's numpy calls are fixed, so identical
+inputs produce identical pivot paths and bytes. solve_lp is a pure function
+of its arguments and thread-safe.
 """
 
 from __future__ import annotations
@@ -89,6 +91,7 @@ class _Simplex:
     def __init__(self, w: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
                  binv: np.ndarray, max_iter: int, price_tol: float):
         self.w = w
+        self.wt = np.ascontiguousarray(w.T)  # entering columns as contiguous rows
         self.b = b
         self.c = c
         self.basis = basis
@@ -100,8 +103,6 @@ class _Simplex:
         self.degen_streak = 0
         self.bland = False
         self.block_start = 0
-        self.in_basis = np.zeros(w.shape[1], dtype=bool)
-        self.in_basis[basis] = True
         self.xb = self.binv @ self.b
 
     def refactor(self):
@@ -114,36 +115,36 @@ class _Simplex:
         self.xb = self.binv @ self.b
 
     def _price(self) -> int | None:
-        """Entering column index, or None when optimal."""
+        """Entering column index, or None when optimal. Dantzig takes the first
+        most negative reduced cost, Bland the first negative one."""
         k = self.w.shape[1]
         y = self.binv.T @ self.c[self.basis]
         if self.bland or k <= _PARTIAL_WIDTH:
             r = self.c - self.w.T @ y
-            r[self.in_basis] = 0.0
-            eligible = np.flatnonzero(r < -self.price_tol)
-            if eligible.size == 0:
-                return None
+            r[self.basis] = 0.0
             if self.bland:
-                return int(eligible[0])
-            return int(eligible[np.argmin(r[eligible])])
+                eligible = np.flatnonzero(r < -self.price_tol)
+                return int(eligible[0]) if eligible.size else None
+            j = int(r.argmin())
+            return j if r[j] < -self.price_tol else None
         # partial pricing: fixed block grid scanned round-robin starting at the
         # block that produced the previous entering column; a full cycle with
         # no candidate certifies optimality
         n_blocks = (k + _PARTIAL_WIDTH - 1) // _PARTIAL_WIDTH
         first = self.block_start // _PARTIAL_WIDTH
         for step in range(n_blocks):
-            blk = (first + step) % n_blocks
-            lo = blk * _PARTIAL_WIDTH
-            idx = np.arange(lo, min(lo + _PARTIAL_WIDTH, k))
-            r = self.c[idx] - self.w[:, idx].T @ y
-            r[self.in_basis[idx]] = 0.0
-            eligible = np.flatnonzero(r < -self.price_tol)
-            if eligible.size:
+            lo = (first + step) % n_blocks * _PARTIAL_WIDTH
+            hi = min(lo + _PARTIAL_WIDTH, k)
+            r = self.c[lo:hi] - self.w[:, lo:hi].T @ y
+            r[self.basis[(self.basis >= lo) & (self.basis < hi)] - lo] = 0.0
+            j = int(r.argmin())
+            if r[j] < -self.price_tol:
                 self.block_start = lo
-                return int(idx[eligible[np.argmin(r[eligible])]])
+                return lo + j
         return None
 
     def run(self) -> str:
+        ratios = np.empty(self.basis.size)  # ratio-test buffer
         while True:
             if self.iterations >= self.max_iter:
                 raise _Stall()
@@ -151,15 +152,16 @@ class _Simplex:
             entering = self._price()
             if entering is None:
                 return "optimal"
-            d = self.binv @ self.w[:, entering]
-            eligible = np.flatnonzero(d > _PIV_TOL)
-            if eligible.size == 0:
+            d = self.binv @ self.wt[entering]
+            # ratio test over d > _PIV_TOL; the other rows stay at inf
+            ratios.fill(np.inf)
+            np.divide(np.maximum(self.xb, 0.0), d, out=ratios, where=d > _PIV_TOL)
+            theta = float(ratios[ratios.argmin()])
+            if theta == np.inf:
                 return "unbounded"
-            ratios = np.maximum(self.xb[eligible], 0.0) / d[eligible]
-            theta = ratios.min()
-            ties = eligible[np.flatnonzero(ratios <= theta * (1 + 1e-12) + 1e-15)]
+            ties = (ratios <= theta * (1 + 1e-12) + 1e-15).nonzero()[0]
             # smallest basis label among ties: deterministic and Bland-compatible
-            leave_pos = int(ties[np.argmin(self.basis[ties])])
+            leave_pos = int(ties[0] if ties.size == 1 else ties[self.basis[ties].argmin()])
             if theta <= 1e-12:
                 self.degen_streak += 1
                 if self.degen_streak > _DEGEN_STREAK:
@@ -167,12 +169,9 @@ class _Simplex:
             else:
                 self.degen_streak = 0
                 self.bland = False
-            piv = d[leave_pos]
-            row = self.binv[leave_pos] / piv
-            self.binv -= np.outer(d, row)
+            row = self.binv[leave_pos] / d[leave_pos]
+            self.binv -= d[:, None] * row
             self.binv[leave_pos] = row
-            self.in_basis[self.basis[leave_pos]] = False
-            self.in_basis[entering] = True
             self.basis[leave_pos] = entering
             self.xb -= theta * d
             self.xb[leave_pos] = theta

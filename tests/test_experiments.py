@@ -113,6 +113,10 @@ _MISSING_CELL = {
     "prop42": (dict(trials=2, size_grid=((9, 81), (16, 256))), 4, {
         ("fitted", "compl_alpha_0.5"): 0.0, ("aggregate", "alpha_monotone"): False}),
     "hsbound": (dict(trials=2, size_grid=((4, 8), (5, 10))), 2, {}),
+    "thm22": (dict(trials=2, size_grid=((6, 24), (8, 32))), 2, {
+        ("aggregate", "cells"): {"6x24": ANY, "8x32": {
+            "K_fit": 0.0, "K_bracket_fit": 0.0, "identity_ratio": None}},
+        ("aggregate", "identity_exact"): False}),
 }
 
 
@@ -178,21 +182,27 @@ class TestRunSuite:
         assert two.aggregate["error_count"] == 4
         assert [r.get("error") for r in two.trials[:2]] == [None, "SolverStall: synthetic stall"]
 
-    @pytest.mark.parametrize("suite", list(_MISSING_CELL))
-    def test_cell_with_every_trial_failed(self, monkeypatch, tmp_path, thresholds, suite):
+    @staticmethod
+    def fail_grid_cell_1(monkeypatch):
+        """Every body and Gaussian matrix drawn for grid cell 1 (prop42: alpha
+        cell 1) raises NumericError."""
         import genquot.experiments as ex
 
-        kw, failures, placeholders = _MISSING_CELL[suite]
         real_body, real_gaussian = ex.make_body, ex.gaussian_matrix
 
         def fail_cell(sd):
-            if sd.stream_index // (1 << 32) in (1, 101):  # grid cell 1, prop42 alpha cell 1
+            if sd.stream_index // (1 << 32) in (1, 101):
                 raise gq.NumericError("injected failure")
 
         monkeypatch.setattr(ex, "make_body",
                             lambda n, big_n, sd: fail_cell(sd) or real_body(n, big_n, sd))
         monkeypatch.setattr(ex, "gaussian_matrix",
                             lambda r, c, v, sd: fail_cell(sd) or real_gaussian(r, c, v, sd))
+
+    @pytest.mark.parametrize("suite", list(_MISSING_CELL))
+    def test_cell_with_every_trial_failed(self, monkeypatch, tmp_path, thresholds, suite):
+        kw, failures, placeholders = _MISSING_CELL[suite]
+        self.fail_grid_cell_1(monkeypatch)
         rep = gq.run_suite(gq.default_config(suite, master_seed=7, thresholds=thresholds, **kw))
         path = tmp_path / "rep.json"
         gq.write_report(rep, "json", path)  # refuses NaN and infinities
@@ -201,6 +211,17 @@ class TestRunSuite:
         assert payload["aggregate"]["error_count"] == failures
         for (part, key), expected in placeholders.items():
             assert payload[part][key] == expected
+
+    def test_lemma_d_missing_volume_cell_joins_volume_family(self, monkeypatch, thresholds):
+        # cell 1 (3x48) is a volume cell by the grid, whatever its records say
+        self.fail_grid_cell_1(monkeypatch)
+        rep = gq.run_suite(gq.default_config("lemmaD", master_seed=7, thresholds=thresholds,
+                                             trials=2, samples=10_000,
+                                             size_grid=((9, 36), (3, 48))))
+        assert rep.aggregate["cells"]["3x48"] == {"kind": "missing"}
+        assert rep.fitted["cprime"] == rep.aggregate["cells"]["9x36"]["cprime_median"]
+        assert rep.fitted["Cprime_stability"] == 1e30
+        assert rep.passed is False
 
     def test_usage_error_in_pooled_trial_reaches_parent(self):
         # prop42 main trials read l2_distortion_max, which no default supplies

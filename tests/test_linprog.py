@@ -163,3 +163,172 @@ def test_load_problem_bad_entry_is_io_error_naming_file(tmp_path, text, detail):
         gq.load_problem(path)
     assert err.value.path == str(path)
     assert detail in err.value.message
+
+
+# Golden pivot paths. The pivot loop must choose the same entering and leaving
+# columns and report the same floats on fixed inputs, whatever its numpy
+# calls look like. Each case drives one branch of the loop: Dantzig pricing
+# (cold and warm), partial pricing, the switch to Bland's rule, phase 1 with
+# a redundant row, the unbounded and infeasible exits, and column generation.
+
+def _gauge_problem(g: np.ndarray, x: np.ndarray) -> LPProblem:
+    return LPProblem(np.hstack([g, -g]), x, np.ones(2 * g.shape[1]))
+
+
+def _golden_gauge(n: int, big_n: int, seed: int, warm: bool = False):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, big_n)) / np.sqrt(n)
+    x0, x1 = rng.normal(size=(2, n))
+    if not warm:
+        return solve_lp(_gauge_problem(g, x1))
+    # sign-flipped optimal column set of x0: a primal-feasible basis for x1
+    cols = np.sort(solve_lp(_gauge_problem(g, x0)).basis % big_n)
+    coef = np.linalg.solve(g[:, cols], x1)
+    start = np.where(coef >= 0, cols, cols + big_n)
+    return solve_lp(_gauge_problem(g, x1), start_basis=start)
+
+
+def _golden_bland():
+    # b = 0 and a large scale: every step stays below 1e-12
+    g = np.random.default_rng(41).normal(size=(20, 60)) * 1e3
+    return solve_lp(_gauge_problem(g, np.zeros(20)))
+
+
+def _golden_redundant_row():
+    rng = np.random.default_rng(43)
+    a = rng.normal(size=(6, 14))
+    a[5] = a[0] + a[1]
+    return solve_lp(lp(a, a @ np.abs(rng.normal(size=14)), np.abs(rng.normal(size=14))))
+
+
+def _golden_unbounded():
+    rng = np.random.default_rng(47)
+    g = rng.normal(size=(4, 8))
+    c = np.ones(16)
+    c[3] = -1.5  # columns 3 and 11 sum to zero at cost -0.5
+    return solve_lp(LPProblem(np.hstack([g, -g]), rng.normal(size=4), c))
+
+
+def _golden_infeasible():
+    rng = np.random.default_rng(53)
+    g = rng.normal(size=(6, 4)) @ rng.normal(size=(4, 20))  # rank 4 < 6 rows
+    return solve_lp(_gauge_problem(g, rng.normal(size=6)))
+
+
+def _golden_column_generation():
+    from genquot.body import _gauge_lp
+
+    body = gq.make_body(24, 576, gq.SeedSpec(7, 3))
+    return _gauge_lp(body, np.random.default_rng(59).normal(size=24))
+
+
+GOLDEN_CASES = {
+    "dantzig-8x64-cold": lambda: _golden_gauge(8, 32, 61),
+    "dantzig-8x64-warm": lambda: _golden_gauge(8, 32, 61, warm=True),
+    "dantzig-16x256-cold": lambda: _golden_gauge(16, 128, 67),
+    "dantzig-16x256-warm": lambda: _golden_gauge(16, 128, 67, warm=True),
+    "partial-8x1280": lambda: _golden_gauge(8, 640, 71),
+    "bland-20x120": _golden_bland,
+    "phase1-redundant-row": _golden_redundant_row,
+    "unbounded": _golden_unbounded,
+    "infeasible": _golden_infeasible,
+    "colgen-24x576": _golden_column_generation,
+}
+
+
+def _fingerprint(sol) -> tuple:
+    hexes = lambda v: None if v is None else tuple(float(t).hex() for t in v)  # noqa: E731
+    return (sol.status, sol.iterations,
+            None if sol.basis is None else tuple(int(j) for j in sol.basis),
+            None if sol.objective_value is None else float(sol.objective_value).hex(),
+            hexes(sol.dual_point))
+
+
+# (status, iterations, basis, objective, duals) per case, recorded before the
+# pivot loop was rewritten for fewer numpy calls per pivot
+GOLDEN_PATHS = {"bland-20x120": ("optimal", 88,
+                  (6, 19, 35, 38, 39, 55, 60, 62, 65, 73, 82, 84, 85, 92, 93, 100, 105, 107,
+                   113, 119),
+                  "0x0.0p+0",
+                  ("-0x1.f842fadbc5ad0p-14", "0x1.f0de71002b150p-16", "-0x1.d3c02e61c5b90p-16",
+                   "0x1.4678e10c734c0p-13", "0x1.0f141c2160610p-12", "0x1.bc29b157bec68p-13",
+                   "0x1.45e0bcaf8e096p-12", "0x1.6a9feb3269cb4p-12", "0x1.4ec7df1992013p-12",
+                   "0x1.1f6a999436ef0p-15", "0x1.05570cfb670c0p-12", "-0x1.71252de6a8b00p-14",
+                   "0x1.53ad6fa22449ap-13", "0x1.8acf46b3b0a33p-12", "0x1.0f081e1f4a256p-12",
+                   "0x1.68dd4a1574faep-13", "0x1.72fc1575bba1dp-12", "0x1.2621ceda904ccp-12",
+                   "0x1.844d397beb1d6p-12", "0x1.7ff34125da108p-14")),
+ "colgen-24x576": ("optimal", 3,
+                   (3, 70, 84, 143, 150, 220, 259, 282, 354, 358, 422, 508, 512, 525, 592, 689,
+                    722, 753, 762, 778, 836, 1011, 1018, 1082),
+                   "0x1.49091a2b4428ep+3",
+                   ("-0x1.762e825095318p-2", "0x1.34dd4e752b0cap-1", "0x1.6dc5f84366e84p-1",
+                    "-0x1.13144949664c4p-3", "-0x1.c47661cbed808p-2", "0x1.bd8fe7660dc40p-6",
+                    "0x1.41428d25702e0p-4", "-0x1.59967fa9152b0p-2", "0x1.10181f0363193p+0",
+                    "-0x1.489cfbd69ed84p-2", "0x1.3298dc55a89b2p-1", "0x1.1771cd9901880p-1",
+                    "0x1.fdcf5f96346dcp-3", "-0x1.4dfb74dbe2804p-4", "0x1.8d763ffcbbc40p-5",
+                    "0x1.c9d480b3f5835p-2", "-0x1.2a3f5ad948a5ep-2", "0x1.208afd8a0fa10p-4",
+                    "0x1.1608d0d1fdcd8p-1", "-0x1.98e835e696fa8p-2", "-0x1.d6ee3636fefe0p-1",
+                    "0x1.2002176d6d8fap-1", "-0x1.da6f9eb785868p-3", "-0x1.bc73e0481c780p-4")),
+ "dantzig-16x256-cold": ("optimal", 41,
+                         (15, 19, 26, 38, 51, 56, 80, 133, 155, 161, 164, 214, 217, 224, 234,
+                          250),
+                         "0x1.eb8e5be5dc55ap+2",
+                         ("-0x1.86660a574807cp-3", "-0x1.bb9dbb4931f2bp-1",
+                          "-0x1.767614b81b180p-3", "0x1.da0c2a42ff340p-3",
+                          "0x1.aab8e0e27e7c8p-3", "-0x1.9f4d9c18c00d0p-3",
+                          "0x1.0ce4fbd45f62ap+0", "-0x1.24d41df840bb4p+0",
+                          "0x1.cf4b65ea2c4f0p-1", "-0x1.ebfed05d4f8a0p-3",
+                          "0x1.f691e9de7a17cp-2", "-0x1.37950ce653230p-4",
+                          "-0x1.880a60817a9f4p-2", "0x1.a1dd2e33b183dp-1",
+                          "0x1.918dc83f77e28p-4", "0x1.4017e955de652p+0")),
+ "dantzig-16x256-warm": ("optimal", 39,
+                         (15, 19, 26, 38, 51, 56, 80, 133, 155, 161, 164, 214, 217, 224, 234,
+                          250),
+                         "0x1.eb8e5be5dc55ap+2",
+                         ("-0x1.86660a574807cp-3", "-0x1.bb9dbb4931f2bp-1",
+                          "-0x1.767614b81b180p-3", "0x1.da0c2a42ff340p-3",
+                          "0x1.aab8e0e27e7c8p-3", "-0x1.9f4d9c18c00d0p-3",
+                          "0x1.0ce4fbd45f62ap+0", "-0x1.24d41df840bb4p+0",
+                          "0x1.cf4b65ea2c4f0p-1", "-0x1.ebfed05d4f8a0p-3",
+                          "0x1.f691e9de7a17cp-2", "-0x1.37950ce653230p-4",
+                          "-0x1.880a60817a9f4p-2", "0x1.a1dd2e33b183dp-1",
+                          "0x1.918dc83f77e28p-4", "0x1.4017e955de652p+0")),
+ "dantzig-8x64-cold": ("optimal", 19, (7, 10, 17, 25, 26, 27, 41, 61), "0x1.6d3e57e1da74fp+2",
+                       ("-0x1.7eed398c404fcp-1", "-0x1.8d3fe199ea1b2p+0",
+                        "0x1.761b620e253b4p-2", "0x1.4aa3bcea67d66p-1", "-0x1.3f883754a129ap+0",
+                        "-0x1.5b82e8bd8180ap-1", "-0x1.5db5ac7efed62p+0",
+                        "-0x1.b83e0bb0ccbb4p-1")),
+ "dantzig-8x64-warm": ("optimal", 11, (7, 10, 17, 25, 26, 27, 41, 61), "0x1.6d3e57e1da74fp+2",
+                       ("-0x1.7eed398c404fcp-1", "-0x1.8d3fe199ea1b2p+0",
+                        "0x1.761b620e253b4p-2", "0x1.4aa3bcea67d66p-1", "-0x1.3f883754a129ap+0",
+                        "-0x1.5b82e8bd8180ap-1", "-0x1.5db5ac7efed62p+0",
+                        "-0x1.b83e0bb0ccbb4p-1")),
+ "infeasible": ("infeasible", 6, None, None,
+                ("0x1.82409d39e7878p-2", "0x1.97ddb87bc07a8p-2", "0x1.0000000000000p+0",
+                 "0x1.0000000000000p+0", "-0x1.85702aece47cep-3", "-0x1.a85ac99ad316ap-1")),
+ "partial-8x1280": ("optimal", 30, (166, 365, 408, 579, 630, 867, 1117, 1257),
+                    "0x1.86f400b6064a2p+1",
+                    ("0x1.6231e4309833ap-2", "0x1.2401b2967309fp-1", "0x1.355bd48840406p-2",
+                     "-0x1.828a835caa2d0p-3", "-0x1.0062ace7caa10p-3", "0x1.1530abca33ba8p-4",
+                     "0x1.5cbaac5597dc8p-1", "0x1.10fda2c322c70p-1")),
+ "phase1-redundant-row": ("optimal", 10, (0, 4, 7, 10, 13), "0x1.97a36dfc686fep+2",
+                          ("0x0.0p+0", "-0x1.1b0aa6220c0b6p-3", "-0x1.c2561015c3298p-2",
+                           "0x1.c3bc8439bb2eap-3", "0x1.7819804c0e562p-3",
+                           "-0x1.76a10851a9e15p-4")),
+ "unbounded": ("unbounded", 8, None, None, None)}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CASES))
+def test_golden_pivot_path(name, monkeypatch):
+    from genquot import linprog
+
+    bland_flags = []
+    price = linprog._Simplex._price
+
+    def recording_price(self):
+        bland_flags.append(self.bland)
+        return price(self)
+
+    monkeypatch.setattr(linprog._Simplex, "_price", recording_price)
+    assert _fingerprint(GOLDEN_CASES[name]()) == GOLDEN_PATHS[name]
+    assert any(bland_flags) == (name == "bland-20x120")
