@@ -135,13 +135,6 @@ def body_from_matrix(gamma, seed: SeedSpec = SeedSpec(0, 0)) -> RandomQuotientBo
     return RandomQuotientBody(n=n, N=N, gamma=g, seed=seed, column_norms=norms)
 
 
-def _solve_gauge_subset(body: RandomQuotientBody, x: np.ndarray, subset: np.ndarray,
-                        start_basis: np.ndarray | None = None) -> LPSolution:
-    a = body.plus_minus[:, np.concatenate([subset, body.N + subset])]
-    return solve_lp(LPProblem(constraint_matrix=a, rhs=x, objective=np.ones(2 * subset.size)),
-                    start_basis=start_basis)
-
-
 # Gauge LP labels: global label j < N is the column +g_j and N + j is -g_j, the
 # layout of the full LP [Gamma, -Gamma]; over a sorted column subset S the
 # restricted LP [Gamma_S, -Gamma_S] numbers its columns the same way with |S|.
@@ -157,7 +150,8 @@ def _restricted_labels(subset: np.ndarray, labels: np.ndarray, big_n: int) -> np
 
 
 def _gauge_lp(body: RandomQuotientBody, x: np.ndarray,
-              start_basis: np.ndarray | None = None) -> LPSolution:
+              start_basis: np.ndarray | None = None,
+              cutoff: float | None = None) -> LPSolution:
     """min ||t||_1 s.t. Gamma t = x, via t = t+ - t-, both >= 0.
 
     Solved by delayed column generation: optimize over a working subset of
@@ -165,15 +159,17 @@ def _gauge_lp(body: RandomQuotientBody, x: np.ndarray,
     violated; when none is violated the restricted optimum is certified
     optimal for the full problem (the omitted variables price out).
     start_basis (global labels, see above) is an optional warm start; the
-    returned basis carries global labels too.
+    returned basis carries global labels too. With a cutoff the result may
+    be solve_lp's "cutoff" verdict; a cut basis of a restricted LP is also
+    feasible for the full LP.
     """
     if 2 * body.N <= 1024:
         sol = solve_lp(LPProblem(constraint_matrix=body.plus_minus, rhs=x,
                                  objective=np.ones(2 * body.N)),
-                       start_basis=start_basis)
+                       start_basis=start_basis, cutoff=cutoff)
         if sol.status == "infeasible":
             raise NotInSpan("point lies outside the column span of gamma")
-        if sol.status != "optimal":  # pragma: no cover - gauge LP is bounded below by 0
+        if sol.status not in ("optimal", "cutoff"):  # pragma: no cover - bounded below by 0
             raise NumericError(f"gauge LP ended with status {sol.status}")
         return sol
 
@@ -187,7 +183,12 @@ def _gauge_lp(body: RandomQuotientBody, x: np.ndarray,
     for _ in range(60):
         start = (_restricted_labels(subset, warm_labels, body.N)
                  if warm_labels is not None else None)
-        sol = _solve_gauge_subset(body, x, subset, start_basis=start)
+        a = body.plus_minus[:, np.concatenate([subset, body.N + subset])]
+        sol = solve_lp(LPProblem(constraint_matrix=a, rhs=x, objective=np.ones(2 * subset.size)),
+                       start_basis=start, cutoff=cutoff)
+        if sol.status == "cutoff":
+            return LPSolution(status="cutoff", iterations=sol.iterations,
+                              basis=_global_labels(subset, sol.basis, body.N))
         if sol.status == "infeasible":
             if subset.size == body.N:
                 raise NotInSpan("point lies outside the column span of gamma")
@@ -228,6 +229,12 @@ def _max_gauge(body: RandomQuotientBody, points: np.ndarray) -> float:
     label j where (Gamma_S^-1 x)_j >= 0 and N + j elsewhere. Each point starts
     from the set that gives its upper bound; solve_lp falls back to phase 1
     when that basis is not usable.
+
+    Cut solves: once best > 0 a solve may stop at a feasible basis of
+    objective <= best (solve_lp's cutoff). Its column set tightens the upper
+    bounds like an optimal one, the cut point's own included: the point is
+    pruned by its l1 cost or, still the first in order, solved again without
+    a cutoff. best and the lower bounds come only from optimal solves.
     """
     pts = points[np.any(points, axis=1)]
     if pts.shape[0] == 0:
@@ -236,16 +243,20 @@ def _max_gauge(body: RandomQuotientBody, points: np.ndarray) -> float:
     upper = np.full(pts.shape[0], np.inf)
     starts = np.zeros(pts.shape, dtype=np.int64)
     unsolved = np.ones(pts.shape[0], dtype=bool)
+    cut = np.zeros(pts.shape[0], dtype=bool)
     best = 0.0
     while True:
         unsolved &= upper > best
         if not unsolved.any():
             return best
         i = int(np.argmax(np.where(unsolved, lower, -np.inf)))
-        unsolved[i] = False
-        sol = _gauge_lp(body, pts[i], starts[i] if np.isfinite(upper[i]) else None)
-        best = max(best, float(sol.objective_value))
-        np.maximum(lower, np.abs(pts @ sol.dual_point), out=lower)
+        sol = _gauge_lp(body, pts[i], starts[i] if np.isfinite(upper[i]) else None,
+                        cutoff=best if best > 0 and not cut[i] else None)
+        cut[i] = sol.status == "cutoff"
+        if not cut[i]:
+            unsolved[i] = False
+            best = max(best, float(sol.objective_value))
+            np.maximum(lower, np.abs(pts @ sol.dual_point), out=lower)
         idx = np.flatnonzero(unsolved)
         cols = np.sort(sol.basis % body.N)
         coeffs = np.linalg.solve(body.gamma[:, cols], pts[idx].T).T
@@ -303,8 +314,10 @@ def operator_norm(body: RandomQuotientBody, t) -> float:
 
     The maximum runs through _max_gauge: images whose upper bound cannot beat
     the best gauge found are pruned, the rest are solved largest lower bound
-    first, each warm-started from a sign-flipped optimal basis of an earlier
-    solve. The result is the objective of one of those LPs.
+    first, each warm-started from a sign-flipped basis of an earlier solve.
+    A solve stops early (is cut) once its basis cannot beat the best gauge;
+    a cut image is then pruned by the l1 cost of that basis or solved again.
+    The result is the objective of one of the LPs solved to optimality.
     """
     tm = as_matrix(t, "T")
     if tm.shape != (body.n, body.n):

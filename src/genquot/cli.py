@@ -200,8 +200,14 @@ def _apply_config_file(args: argparse.Namespace, subparser: argparse.ArgumentPar
         if isinstance(action, argparse._StoreTrueAction):
             setattr(args, dest, value.lower() in ("1", "true", "yes"))
         else:
-            conv = action.type or str
-            setattr(args, dest, conv(value))
+            try:
+                converted = (action.type or str)(value)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise UsageError(f"config file {args.config}: bad {key!r} value: {exc}") from exc
+            if action.choices is not None and converted not in action.choices:
+                raise UsageError(f"config file {args.config}: {key!r} must be one of "
+                                 f"{', '.join(map(str, action.choices))}, got {value!r}")
+            setattr(args, dest, converted)
 
 
 def _log_config(args: argparse.Namespace) -> None:

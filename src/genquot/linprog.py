@@ -7,7 +7,9 @@ against cycling. The working RHS carries a tiny deterministic perturbation
 that removes primal degeneracy (the l1-gauge instances are extremely
 degenerate); the reported point and objective are recomputed from the exact
 RHS with the final optimal basis. Phase 1 uses artificial variables;
-redundant rows discovered there are eliminated before phase 2. Every pivot
+redundant rows discovered there are eliminated before phase 2. An objective
+cutoff (as in branch and bound) ends phase 2 early, status "cutoff", at the
+first feasible basis no worse than it: the optimum is no larger. Every pivot
 choice and every reported float is a function of the inputs only: ties go to
 the lowest index, and the pivot loop's numpy calls are fixed, so identical
 inputs produce identical pivot paths and bytes. solve_lp is a pure function
@@ -70,7 +72,9 @@ class LPSolution:
 
     For status "optimal": point is primal feasible to feas_tol and the
     duality gap against dual_point is below gap_tol. For "infeasible",
-    dual_point carries a Farkas certificate (y.b > 0, A^T y <~ 0).
+    dual_point carries a Farkas certificate (y.b > 0, A^T y <~ 0). For
+    "cutoff", basis is primal feasible with objective <= the cutoff, an upper
+    bound on the optimum; there is no point, dual or objective.
     """
 
     status: str
@@ -78,7 +82,7 @@ class LPSolution:
     objective_value: float | None = None
     dual_point: np.ndarray | None = None
     iterations: int = 0
-    basis: np.ndarray | None = None  # optimal basis labels, reusable as a warm start
+    basis: np.ndarray | None = None  # optimal or cutoff basis labels, reusable as a warm start
 
 
 class _Stall(Exception):
@@ -124,9 +128,11 @@ class _Simplex:
             r[self.basis] = 0.0
             if self.bland:
                 eligible = np.flatnonzero(r < -self.price_tol)
-                return int(eligible[0]) if eligible.size else None
-            j = int(r.argmin())
-            return j if r[j] < -self.price_tol else None
+                j = int(eligible[0]) if eligible.size else 0  # r[0] is not eligible
+            else:
+                j = int(r.argmin())
+            self.r_q = float(r[j])  # the entering reduced cost, read by run
+            return j if self.r_q < -self.price_tol else None
         # partial pricing: fixed block grid scanned round-robin starting at the
         # block that produced the previous entering column; a full cycle with
         # no candidate certifies optimality
@@ -138,14 +144,21 @@ class _Simplex:
             r = self.c[lo:hi] - self.w[:, lo:hi].T @ y
             r[self.basis[(self.basis >= lo) & (self.basis < hi)] - lo] = 0.0
             j = int(r.argmin())
-            if r[j] < -self.price_tol:
+            self.r_q = float(r[j])
+            if self.r_q < -self.price_tol:
                 self.block_start = lo
                 return lo + j
         return None
 
-    def run(self) -> str:
+    def run(self, cutoff: float = -np.inf) -> str:
+        # obj tracks c_B.x_B by one scalar update per pivot; recomputed before a cut
         ratios = np.empty(self.basis.size)  # ratio-test buffer
+        obj = np.inf if cutoff == -np.inf else float(self.c[self.basis] @ self.xb)
         while True:
+            if obj <= cutoff:
+                obj = float(self.c[self.basis] @ self.xb)
+                if obj <= cutoff:
+                    return "cutoff"
             if self.iterations >= self.max_iter:
                 raise _Stall()
             self.iterations += 1
@@ -175,6 +188,7 @@ class _Simplex:
             self.basis[leave_pos] = entering
             self.xb -= theta * d
             self.xb[leave_pos] = theta
+            obj += theta * self.r_q
             self.pivots_since_refactor += 1
             if self.pivots_since_refactor >= _REFACTOR_EVERY:
                 self.refactor()
@@ -182,12 +196,17 @@ class _Simplex:
 
 def solve_lp(p: LPProblem, feas_tol: float = 1e-9, gap_tol: float = 1e-8,
              max_iter: int | None = None,
-             start_basis: np.ndarray | None = None) -> LPSolution:
+             start_basis: np.ndarray | None = None,
+             cutoff: float | None = None) -> LPSolution:
     """Solve an equality-form LP to proven optimality or a status certificate.
 
     start_basis, when given, must index an invertible, primal-feasible basis
     (e.g. the basis of a previous solve over a column subset of the same
     rows); phase 1 is then skipped. An unusable start falls back to phase 1.
+
+    cutoff, when given, lets phase 2 stop with status "cutoff" at the first
+    feasible basis (of the perturbed RHS) whose objective is at most cutoff.
+    Phase 1 ignores it; without it, phase 2 pivots to the end.
 
     Raises SolverStall when the iteration cap (default 50*(m+v)) is exceeded
     and NumericError on non-finite data or a numerically broken basis.
@@ -214,8 +233,8 @@ def solve_lp(p: LPProblem, feas_tol: float = 1e-9, gap_tol: float = 1e-8,
     if start_basis is not None:
         warm = _warm_basis(a1, b1p, np.asarray(start_basis, dtype=int), m, v)
         if warm is not None:
-            return _phase2(a, a1, b, b1, b1p, sign, c, warm[0], warm[1], 0,
-                           np.arange(m), max_iter, price_tol, feas_tol, gap_tol, bscale)
+            return _phase2(a, a1, b, b1, b1p, sign, c, warm[0], warm[1], 0, np.arange(m),
+                           max_iter, price_tol, feas_tol, gap_tol, bscale, cutoff)
 
     # phase 1: minimize the sum of artificial variables
     w1 = np.hstack([a1, np.eye(m)])
@@ -266,7 +285,7 @@ def solve_lp(p: LPProblem, feas_tol: float = 1e-9, gap_tol: float = 1e-8,
         raise NumericError("artificial variable stuck in basis")
 
     return _phase2(a, a1, b, b1, b1p, sign, c, basis, binv, sim.iterations,
-                   keep, max_iter, price_tol, feas_tol, gap_tol, bscale)
+                   keep, max_iter, price_tol, feas_tol, gap_tol, bscale, cutoff)
 
 
 def _warm_basis(a1: np.ndarray, b1p: np.ndarray, basis: np.ndarray, m: int,
@@ -283,16 +302,18 @@ def _warm_basis(a1: np.ndarray, b1p: np.ndarray, basis: np.ndarray, m: int,
 
 
 def _phase2(a, a1, b, b1, b1p, sign, c, basis, binv, start_iters,
-            row_keep, max_iter, price_tol, feas_tol, gap_tol, bscale) -> LPSolution:
+            row_keep, max_iter, price_tol, feas_tol, gap_tol, bscale, cutoff) -> LPSolution:
     m, v = a1.shape
     sim2 = _Simplex(a1, b1p, c, basis, binv, max_iter, price_tol)
     sim2.iterations = start_iters
     try:
-        status = sim2.run()
+        status = sim2.run(-np.inf if cutoff is None else cutoff)
     except _Stall as exc:
         raise SolverStall(f"iteration cap {max_iter} exceeded") from exc
     if status == "unbounded":
         return LPSolution(status="unbounded", iterations=sim2.iterations)
+    if status == "cutoff":
+        return LPSolution(status="cutoff", iterations=sim2.iterations, basis=sim2.basis.copy())
 
     # canonical order: x, y and the objective depend on the optimal basis set
     # only, not on the pivot path that reached it

@@ -6,7 +6,7 @@ import pytest
 import genquot as gq
 
 from genquot.body import _gauge_lp, _inradius_descent, _unit_sphere
-from genquot import linprog
+from genquot import body as body_module, linprog
 from genquot.sampler import generator
 
 from conftest import angular_net_gauge_ratio, highs_max_gauge
@@ -175,12 +175,36 @@ def _operators(n: int, s: int) -> dict[str, np.ndarray]:
 class TestMaxGaugeKernel:
     """operator_norm prunes and warm-starts; its value must be the cold maximum."""
 
-    @pytest.mark.parametrize("n,big_n", [(8, 16), (8, 64), (16, 32), (16, 128), (16, 256)])
+    @pytest.mark.parametrize("n,big_n", [(8, 16), (8, 64), (16, 32), (16, 128), (16, 256),
+                                         (24, 576)])
     def test_bit_identical_to_cold_maximum(self, n, big_n):
         body = gq.make_body(n, big_n, seed(150, n * big_n))
-        for kind, t in _operators(n, 151 + big_n).items():
+        operators = _operators(n, 151 + big_n)
+        if 2 * big_n > 1024:  # column generation: two operators keep the cold maxima short
+            operators = {k: operators[k] for k in ("gaussian", "orthogonal")}
+        for kind, t in operators.items():
             cold = max(gq.body_norm(body, x) for x in (t @ body.gamma).T)
             assert gq.operator_norm(body, t) == cold, kind
+
+    @pytest.mark.parametrize("n,big_n", [(8, 64), (16, 256), (24, 576)])
+    def test_forced_cuts_keep_the_cold_maximum(self, n, big_n, monkeypatch):
+        # cutoff=inf stops every cut-eligible solve at its start basis, so
+        # every solve after the first goes through the prune-or-re-solve fallback
+        body = gq.make_body(n, big_n, seed(155, n * big_n))
+        t = _operators(n, 156 + big_n)["gaussian"]
+        cold = max(gq.body_norm(body, x) for x in (t @ body.gamma).T)
+        solves: dict[bytes, int] = {}
+        cuts = []
+
+        def forced(b, x, start_basis=None, cutoff=None):
+            solves[x.tobytes()] = solves.get(x.tobytes(), 0) + 1
+            sol = _gauge_lp(b, x, start_basis, None if cutoff is None else np.inf)
+            cuts.append(sol.status == "cutoff")
+            return sol
+
+        monkeypatch.setattr(body_module, "_gauge_lp", forced)
+        assert gq.operator_norm(body, t) == cold
+        assert any(cuts) and max(solves.values()) == 2
 
     def test_identity_ties_within_roundoff(self):
         # every g_j has gauge exactly 1: the maximum is decided by roundoff

@@ -265,6 +265,23 @@ def test_config_file_unknown_key(tmp_path):
     assert main(["verify", "hsbound", "--seed", "7", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("text,argv", [
+    ("trials=abc\n", ["verify", "hsbound", "--seed", "7"]),  # int() raises ValueError
+    ("stream=zz\n", ["radii", "--body", "b.mtx", "--seed", "7"]),  # ArgumentTypeError
+    ("format=xml\n", ["verify", "hsbound", "--seed", "7"]),  # outside choices
+], ids=["bad-int", "bad-seed", "bad-choice"])
+def test_config_file_bad_value_exits_2(tmp_path, capsys, text, argv):
+    cfg = tmp_path / "genquot.cfg"
+    cfg.write_text(text)
+    assert main(argv + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    key = text.split("=")[0]
+    assert err.strip().splitlines() == [err.strip()]
+    assert err.startswith(f"genquot: usage error: config file {cfg}: ")
+    assert repr(key) in err
+
+
 def test_calibrate_cli(tmp_path, capsys):
     out = tmp_path / "th.json"
     code = main(["calibrate", "--seed", "9", "--trials", "3", "--out", str(out),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -175,17 +177,22 @@ def _gauge_problem(g: np.ndarray, x: np.ndarray) -> LPProblem:
     return LPProblem(np.hstack([g, -g]), x, np.ones(2 * g.shape[1]))
 
 
-def _golden_gauge(n: int, big_n: int, seed: int, warm: bool = False):
+def _golden_gauge_lp(n: int, big_n: int, seed: int, warm: bool):
+    """Gamma, the right-hand side and the start basis (None when cold)."""
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(n, big_n)) / np.sqrt(n)
     x0, x1 = rng.normal(size=(2, n))
     if not warm:
-        return solve_lp(_gauge_problem(g, x1))
+        return g, x1, None
     # sign-flipped optimal column set of x0: a primal-feasible basis for x1
     cols = np.sort(solve_lp(_gauge_problem(g, x0)).basis % big_n)
     coef = np.linalg.solve(g[:, cols], x1)
-    start = np.where(coef >= 0, cols, cols + big_n)
-    return solve_lp(_gauge_problem(g, x1), start_basis=start)
+    return g, x1, np.where(coef >= 0, cols, cols + big_n)
+
+
+def _golden_gauge(n: int, big_n: int, seed: int, warm: bool = False, cutoff=None):
+    g, x, start = _golden_gauge_lp(n, big_n, seed, warm)
+    return solve_lp(_gauge_problem(g, x), start_basis=start, cutoff=cutoff)
 
 
 def _golden_bland():
@@ -332,3 +339,74 @@ def test_golden_pivot_path(name, monkeypatch):
     monkeypatch.setattr(linprog._Simplex, "_price", recording_price)
     assert _fingerprint(GOLDEN_CASES[name]()) == GOLDEN_PATHS[name]
     assert any(bland_flags) == (name == "bland-20x120")
+
+
+# Objective cutoff. A cutoff only lets phase 2 stop early: it never changes a
+# pivot, so an LP whose optimum lies above the cutoff solves exactly as without
+# one, and a cut solve ends at a feasible basis of objective <= cutoff.
+
+def _golden_objective(name: str) -> float:
+    objective = GOLDEN_PATHS[name][3]
+    return 0.0 if objective is None else float.fromhex(objective)
+
+
+@pytest.mark.parametrize("name", ["dantzig-8x64-cold", "dantzig-8x64-warm",
+                                  "dantzig-16x256-cold", "dantzig-16x256-warm",
+                                  "partial-8x1280", "bland-20x120", "phase1-redundant-row",
+                                  "infeasible"])
+def test_cutoff_below_optimum_changes_nothing(name, monkeypatch):
+    opt = _golden_objective(name)
+    cutoff = opt - 1e-9 * (1.0 + abs(opt))
+    if name.endswith("warm"):  # the cutoff goes to the warm solve, not to the one before it
+        n, big_n, sd = (8, 32, 61) if "8x64" in name else (16, 128, 67)
+        sol = _golden_gauge(n, big_n, sd, warm=True, cutoff=cutoff)
+    else:
+        # every solve_lp call of these cases is the one pinned in GOLDEN_PATHS
+        monkeypatch.setitem(globals(), "solve_lp", partial(solve_lp, cutoff=cutoff))
+        sol = GOLDEN_CASES[name]()
+    assert _fingerprint(sol) == GOLDEN_PATHS[name]
+
+
+def test_warm_gauge_cut_above_optimum():
+    n, big_n = 16, 128
+    g, x, start = _golden_gauge_lp(n, big_n, 67, warm=True)
+    problem = _gauge_problem(g, x)
+    opt = _golden_objective("dantzig-16x256-warm")
+    cutoff = 1.05 * opt
+    sol = solve_lp(problem, start_basis=start, cutoff=cutoff)
+    assert sol.status == "cutoff"
+    assert sol.point is None and sol.dual_point is None and sol.objective_value is None
+    assert 0 < sol.iterations < GOLDEN_PATHS["dantzig-16x256-warm"][1]
+    basis_matrix = problem.constraint_matrix[:, sol.basis]
+    assert np.linalg.matrix_rank(basis_matrix) == n
+    assert np.linalg.solve(basis_matrix, x).min() >= -1e-9  # primal feasible
+    assert np.abs(np.linalg.solve(g[:, sol.basis % big_n], x)).sum() <= cutoff
+    # a start basis already at or below the cutoff is returned as it is
+    start_objective = np.abs(np.linalg.solve(g[:, start % big_n], x)).sum()
+    assert start_objective > cutoff
+    at_start = solve_lp(problem, start_basis=start, cutoff=1.01 * start_objective)
+    assert at_start.status == "cutoff" and at_start.iterations == 0
+    assert at_start.basis.tobytes() == start.tobytes()
+
+
+def test_cold_start_with_cutoff_runs_phase_one_to_the_end(monkeypatch):
+    from genquot import linprog
+
+    runs = []
+    run = linprog._Simplex.run
+
+    def recording_run(self, *args):
+        status = run(self, *args)
+        runs.append((args[0] if args else None, status, self.iterations))
+        return status
+
+    monkeypatch.setattr(linprog._Simplex, "run", recording_run)
+    plain = _golden_gauge(8, 32, 61)
+    phase1_iterations = runs[0][2]
+    assert [r[:2] for r in runs] == [(None, "optimal"), (-np.inf, "optimal")]
+    runs.clear()
+    sol = _golden_gauge(8, 32, 61, cutoff=np.inf)
+    # phase 1 ran to its end unchanged; phase 2 stopped at its first basis
+    assert runs == [(None, "optimal", phase1_iterations), (np.inf, "cutoff", phase1_iterations)]
+    assert sol.status == "cutoff" and sol.iterations == phase1_iterations < plain.iterations
+    assert np.all(sol.basis < 64)  # no artificial column
