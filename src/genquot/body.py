@@ -10,7 +10,11 @@ For low dimensions (volume estimation, batched section sampling) the gauge is
 also available through the polar description of B: the facets of the convex
 hull of {+-g_j} give the vertices of the polar body, and the gauge is a single
 max of inner products. Both routes agree to LP tolerance and are cross-checked
-in the test suite.
+in the test suite. Above that dimension a batch of gauges (body_norm_many) is
+one phase-2 simplex run over all its right-hand sides in lock-step: the LPs
+share [Gamma, -Gamma] and the cost vector, so each pivot step is a few matrix
+products over the whole batch, and every row starts from a feasible crash
+basis, so none runs phase 1.
 
 Bodies are immutable after construction; every operation here is a read-only
 pure function (Monte Carlo ones of their SeedSpec too) and safe to call from
@@ -26,7 +30,8 @@ import numpy as np
 
 from .errors import IoError, NotInSpan, NumericError, UsageError
 from .linalg import as_matrix, as_vector, format_matrix, golden_min, parse_matrix
-from .linprog import LPProblem, LPSolution, solve_lp
+from .linprog import (_DEGEN_STREAK, _PIV_TOL, _REFACTOR_EVERY, LPProblem, LPSolution,
+                      _perturbed, certify_basis, solve_lp)
 from .sampler import HaarSubspace, SeedSpec, gaussian_matrix, generator
 
 __all__ = [
@@ -54,7 +59,10 @@ _RANK_TOL = 1e-8
 _MEMBERSHIP_SLACK = 1e-8
 _MEMBERSHIP_BLOCK = 2048  # volume_ratio: points per membership block
 _SCREEN_FACETS = 32  # volume_ratio: facets tried on every point before the rest
-_HULL_DIM_CAP = 6  # batch gauge falls back to per-point LPs above this
+_HULL_DIM_CAP = 6  # batch gauge uses the polar facets up to this dimension, LPs above
+_LOCKSTEP_ROWS = 512  # body_norm_many: rows per lock-step batch (bounds its memory)
+_GAUGE_PRICE_TOL = 2e-9  # solve_lp's pricing tolerance 1e-9 * (1 + max|c|) at c = 1
+_INVERSE_RESIDUAL = 1e-8  # a basis inverse missing the identity by more is unusable
 VOLUME_DIM_CAP = 8
 
 
@@ -266,6 +274,103 @@ def _max_gauge(body: RandomQuotientBody, points: np.ndarray) -> float:
         starts[idx[better]] = np.where(coeffs[better] >= 0, cols, cols + body.N)
 
 
+def _inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack of square matrices, and a mask of the usable ones.
+    A singular matrix (an exact zero pivot, on which np.linalg.inv raises),
+    or one whose inverse misses the identity by more than _INVERSE_RESIDUAL
+    (a numerically singular one), is not usable."""
+    eye = np.eye(mats.shape[-1])
+    regular = np.linalg.slogdet(mats)[0] != 0
+    inv = np.linalg.inv(np.where(regular[:, None, None], mats, eye))
+    residual = np.abs(inv @ mats - eye).max(axis=(1, 2))
+    return inv, regular & (residual <= _INVERSE_RESIDUAL)
+
+
+def _lockstep_gauges(body: RandomQuotientBody, pts: np.ndarray) -> np.ndarray:
+    """Gauges of the nonzero rows of pts by one phase-2 simplex run over all
+    of them at once; NaN for each row that _gauge_lp must solve instead.
+
+    Every row solves the full LP [Gamma, -Gamma] t = x (with solve_lp's
+    perturbed RHS) from a crash basis: the n columns with the largest
+    |<x, g_j>| / ||g_j||, sign-flipped to be primal feasible as in
+    _max_gauge. The pivots follow solve_lp's phase 2: Dantzig pricing, the
+    _PIV_TOL ratio test with ties to the smallest basis label, rank-1
+    updates of each basis inverse and a refactor every _REFACTOR_EVERY
+    pivots. The duals y = B^-T 1 of all live rows price in one matrix
+    product; a row leaves the batch once it is optimal. An optimal basis
+    passes solve_lp's closing certificate (certify_basis) and a check that
+    the certified dual is feasible, |<g_j, y>| <= 1 + tol for every j; its
+    gauge is that certificate's objective, so any pivot path to the same
+    basis gives the same bytes. A row goes to _gauge_lp instead when its
+    crash basis is numerically singular, its degenerate streak exceeds
+    _DEGEN_STREAK (solve_lp would switch to Bland), a ratio test finds no
+    pivot, the iteration cap is reached or its certificate fails.
+    """
+    n, big_n = body.n, body.N
+    gamma_t = np.ascontiguousarray(body.gamma.T)
+    sign = np.where(pts < 0, -1.0, 1.0)
+    xp = sign * _perturbed(pts * sign)
+    corr = np.abs(pts @ body.gamma) / body.column_norms
+    cols = np.sort(np.argpartition(-corr, n - 1, axis=1)[:, :n], axis=1)
+    inv, usable = _inverses(gamma_t[cols].transpose(0, 2, 1))
+    coeffs = (inv @ xp[:, :, None])[:, :, 0]
+    rows = np.flatnonzero(usable)  # the input row of each live row
+    basis = np.where(coeffs >= 0, cols, cols + big_n)[rows]
+    binv = (inv * np.where(coeffs >= 0, 1.0, -1.0)[:, :, None])[rows]
+    xb = np.abs(coeffs[rows])
+    xp = xp[rows]
+    streak = np.zeros(rows.size, dtype=np.int64)
+    optimal: list[tuple[int, np.ndarray]] = []
+    ones_n = np.ones(n)
+    for pivot in range(1, 50 * (n + 2 * big_n) + 1):  # solve_lp's iteration cap
+        if rows.size == 0:
+            break
+        live = np.arange(rows.size)
+        proj = (ones_n @ binv) @ body.gamma  # <g_j, y> with y = B^-T 1
+        mag = np.abs(proj)
+        mag[live[:, None], basis % big_n] = 0.0  # both labels of a basic column
+        j = mag.argmax(axis=1)
+        done = mag[live, j] <= 1.0 + _GAUGE_PRICE_TOL
+        optimal += zip(rows[done], basis[done])
+        enters = proj[live, j] > 0  # reduced cost 1 - <g_j, y> of label j, else of N + j
+        d = (binv @ np.where(enters[:, None], gamma_t[j], -gamma_t[j])[:, :, None])[:, :, 0]
+        ratios = np.full(d.shape, np.inf)
+        np.divide(np.maximum(xb, 0.0), d, out=ratios, where=d > _PIV_TOL)
+        theta = ratios.min(axis=1)
+        ties = ratios <= theta[:, None] * (1 + 1e-12) + 1e-15
+        leave = np.where(ties, basis, 2 * big_n).argmin(axis=1)
+        streak = np.where(theta <= 1e-12, streak + 1, 0)
+        keep = ~done & np.isfinite(theta) & (streak <= _DEGEN_STREAK)
+        if not keep.all():
+            rows, basis, binv, xb, xp = rows[keep], basis[keep], binv[keep], xb[keep], xp[keep]
+            j, enters, d, theta, leave, streak = (j[keep], enters[keep], d[keep], theta[keep],
+                                                  leave[keep], streak[keep])
+            live = np.arange(rows.size)
+        row = binv[live, leave] / d[live, leave][:, None]
+        binv -= np.einsum("ki,kj->kij", d, row, out=np.empty_like(binv))
+        binv[live, leave] = row
+        basis[live, leave] = np.where(enters, j, j + big_n)
+        xb -= theta[:, None] * d
+        xb[live, leave] = theta
+        if pivot % _REFACTOR_EVERY == 0:
+            binv, usable = _inverses(body.plus_minus.T[basis].transpose(0, 2, 1))
+            rows, basis, binv, xp, streak = (rows[usable], basis[usable], binv[usable],
+                                             xp[usable], streak[usable])
+            xb = (binv @ xp[:, :, None])[:, :, 0]
+
+    gauges = np.full(pts.shape[0], np.nan)
+    ones = np.ones(2 * big_n)
+    for i, labels in optimal:
+        try:
+            sol = certify_basis(LPProblem(constraint_matrix=body.plus_minus, rhs=pts[i],
+                                          objective=ones), labels)
+        except NumericError:
+            continue
+        if np.abs(sol.dual_point @ body.gamma).max() <= 1.0 + _GAUGE_PRICE_TOL:
+            gauges[i] = sol.objective_value
+    return gauges
+
+
 def body_norm_with_dual(body: RandomQuotientBody, x) -> tuple[float, np.ndarray]:
     """Gauge of B at x together with the optimal dual vector y.
 
@@ -287,13 +392,29 @@ def body_norm(body: RandomQuotientBody, x) -> float:
 
 
 def body_norm_many(body: RandomQuotientBody, xs) -> np.ndarray:
-    """Gauge of each row of xs; uses the polar facet oracle in low dimension."""
+    """Gauge of each row of xs.
+
+    Up to dimension _HULL_DIM_CAP it is a max over the polar facets. Above,
+    each gauge is an LP objective: the nonzero rows are solved together by
+    _lockstep_gauges, in batches of _LOCKSTEP_ROWS, and a row that batch
+    leaves unsolved by _gauge_lp, as body_norm would. A gauge does not
+    depend on the other rows or their order; on the full-LP path (2N <=
+    1024) it has the bytes of body_norm, on the column-generation path it
+    is the same LP objective summed over all 2N columns.
+    """
     pts = as_matrix(xs, "points")
     if pts.shape[1] != body.n:
         raise UsageError(f"points have dimension {pts.shape[1]}, body has {body.n}")
     if body.n <= _HULL_DIM_CAP:
         return np.maximum(pts @ body.polar_vertices.T, 0.0).max(axis=1)
-    return np.array([body_norm(body, p) for p in pts])
+    gauges = np.zeros(pts.shape[0])
+    nonzero = np.flatnonzero(np.any(pts, axis=1))
+    for lo in range(0, nonzero.size, _LOCKSTEP_ROWS):
+        idx = nonzero[lo:lo + _LOCKSTEP_ROWS]
+        gauges[idx] = _lockstep_gauges(body, pts[idx])
+    for i in np.flatnonzero(np.isnan(gauges)):
+        gauges[i] = _gauge_lp(body, pts[i]).objective_value
+    return gauges
 
 
 def dual_norm(body: RandomQuotientBody, u) -> float:

@@ -171,6 +171,21 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, registry
 
 
+_TRUE_WORDS = ("1", "true", "yes")
+_FALSE_WORDS = ("0", "false", "no")
+
+
+def _explicit_dests(argv: list[str]) -> set[str]:
+    """Destinations of the options argv sets, in every spelling argparse
+    accepts (--trials 4, --trials=4, the abbreviation --tri 4): argv parsed
+    again with every subcommand default suppressed."""
+    parser, registry = _build_parser()
+    for subparser in registry.values():
+        for action in subparser._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
 def _apply_config_file(args: argparse.Namespace, subparser: argparse.ArgumentParser,
                        argv: list[str]) -> None:
     if not getattr(args, "config", None):
@@ -190,15 +205,22 @@ def _apply_config_file(args: argparse.Namespace, subparser: argparse.ArgumentPar
         key, value = ln.split("=", 1)
         entries[key.strip()] = value.strip()
     actions = {a.dest: a for a in subparser._actions}
+    explicit = _explicit_dests(argv)
     for key, value in entries.items():
         dest = key.replace("-", "_")
         if dest not in actions:
             raise UsageError(f"unknown config key {key!r} for this subcommand")
-        if f"--{key}" in argv:  # explicit flag wins
-            continue
         action = actions[dest]
+        if not action.option_strings:
+            raise UsageError(f"config file {args.config}: {key!r} is a positional argument; "
+                             "give it on the command line")
+        if dest in explicit:  # explicit flag wins
+            continue
         if isinstance(action, argparse._StoreTrueAction):
-            setattr(args, dest, value.lower() in ("1", "true", "yes"))
+            if value.lower() not in _TRUE_WORDS + _FALSE_WORDS:
+                raise UsageError(f"config file {args.config}: bad {key!r} value {value!r}: "
+                                 f"use one of {', '.join(_TRUE_WORDS + _FALSE_WORDS)}")
+            setattr(args, dest, value.lower() in _TRUE_WORDS)
         else:
             try:
                 converted = (action.type or str)(value)

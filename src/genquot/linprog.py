@@ -25,24 +25,33 @@ import numpy as np
 from .errors import IoError, NumericError, SolverStall, UsageError
 from .linalg import as_matrix, as_vector, format_matrix, parse_matrix
 
-__all__ = ["LPProblem", "LPSolution", "solve_lp", "dump_problem", "load_problem"]
+__all__ = ["LPProblem", "LPSolution", "solve_lp", "certify_basis", "dump_problem", "load_problem"]
 
 _PIV_TOL = 1e-9  # smallest acceptable pivot magnitude in the ratio test
 _DEGEN_STREAK = 30  # degenerate pivots tolerated before switching to Bland
 _REFACTOR_EVERY = 100  # pivots between basis-inverse refactorizations
 _PARTIAL_WIDTH = 1024  # price in blocks when the column count exceeds this
 _PERTURB = 1e-11  # relative RHS perturbation scale (removes primal degeneracy)
+_FEAS_TOL = 1e-9  # default primal feasibility tolerance, relative to 1 + max|b|
+_GAP_TOL = 1e-8  # default relative duality-gap tolerance
 
 
 def _perturbed(b: np.ndarray) -> np.ndarray:
-    """Deterministically perturbed RHS. Gauge LPs are massively primal
-    degenerate (optimal support is tiny), and a generic RHS makes every pivot
-    strictly improving, so the simplex cannot stall. Reduced costs do not
-    depend on b, hence the final basis stays optimal for the true RHS."""
-    idx = np.arange(b.size, dtype=np.uint64)
+    """Deterministically perturbed RHS (of each row, for a stack of RHS rows).
+    Gauge LPs are massively primal degenerate (optimal support is tiny), and
+    a generic RHS makes every pivot strictly improving, so the simplex cannot
+    stall. Reduced costs do not depend on b, hence the final basis stays
+    optimal for the true RHS."""
+    idx = np.arange(b.shape[-1], dtype=np.uint64)
     mix = (idx * np.uint64(2654435761)) % np.uint64(2 ** 32)
     weights = 1.0 + mix.astype(float) / 2.0 ** 32
-    return b + _PERTURB * (1.0 + float(np.max(np.abs(b)))) * weights
+    return b + _PERTURB * (1.0 + np.max(np.abs(b), axis=-1, keepdims=True)) * weights
+
+
+def _oriented(a: np.ndarray, b: np.ndarray):
+    """Rows flipped to a nonnegative RHS: (sign, a1, b1, bscale)."""
+    sign = np.where(b < 0, -1.0, 1.0)
+    return sign, a * sign[:, None], b * sign, 1.0 + float(np.max(np.abs(b)))
 
 
 @dataclass(frozen=True)
@@ -194,7 +203,7 @@ class _Simplex:
                 self.refactor()
 
 
-def solve_lp(p: LPProblem, feas_tol: float = 1e-9, gap_tol: float = 1e-8,
+def solve_lp(p: LPProblem, feas_tol: float = _FEAS_TOL, gap_tol: float = _GAP_TOL,
              max_iter: int | None = None,
              start_basis: np.ndarray | None = None,
              cutoff: float | None = None) -> LPSolution:
@@ -223,11 +232,8 @@ def solve_lp(p: LPProblem, feas_tol: float = 1e-9, gap_tol: float = 1e-8,
         return LPSolution(status="optimal", point=np.zeros(v), objective_value=0.0,
                           dual_point=np.zeros(0))
 
-    sign = np.where(b < 0, -1.0, 1.0)
-    a1 = a * sign[:, None]
-    b1 = b * sign
+    sign, a1, b1, bscale = _oriented(a, b)
     b1p = _perturbed(b1)
-    bscale = 1.0 + float(np.max(np.abs(b))) if b.size else 1.0
     price_tol = 1e-9 * (1.0 + float(np.max(np.abs(c))))
 
     if start_basis is not None:
@@ -303,7 +309,6 @@ def _warm_basis(a1: np.ndarray, b1p: np.ndarray, basis: np.ndarray, m: int,
 
 def _phase2(a, a1, b, b1, b1p, sign, c, basis, binv, start_iters,
             row_keep, max_iter, price_tol, feas_tol, gap_tol, bscale, cutoff) -> LPSolution:
-    m, v = a1.shape
     sim2 = _Simplex(a1, b1p, c, basis, binv, max_iter, price_tol)
     sim2.iterations = start_iters
     try:
@@ -314,18 +319,30 @@ def _phase2(a, a1, b, b1, b1p, sign, c, basis, binv, start_iters,
         return LPSolution(status="unbounded", iterations=sim2.iterations)
     if status == "cutoff":
         return LPSolution(status="cutoff", iterations=sim2.iterations, basis=sim2.basis.copy())
+    return _certified(a, a1, b, b1, sign, c, sim2.basis, row_keep, sim2.iterations,
+                      feas_tol, gap_tol, bscale)
 
+
+def _certified(a, a1, b, b1, sign, c, basis, row_keep, iterations, feas_tol, gap_tol,
+               bscale) -> LPSolution:
+    """The closing certificate of every "optimal" verdict: refactor the basis,
+    recompute x and y from the exact RHS, and check the primal residual and
+    the duality gap. Raises NumericError when a check fails."""
+    v = a1.shape[1]
     # canonical order: x, y and the objective depend on the optimal basis set
     # only, not on the pivot path that reached it
-    sim2.basis.sort()
-    sim2.refactor()
-    xb = sim2.binv @ b1
+    basis = np.sort(basis)
+    try:
+        binv = np.linalg.inv(a1[:, basis])
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("basis matrix became singular") from exc
+    xb = binv @ b1
     x = np.zeros(v)
-    x[sim2.basis] = np.maximum(xb, 0.0)
-    residual = float(np.max(np.abs(a @ x - b))) if m else 0.0
+    x[basis] = np.maximum(xb, 0.0)
+    residual = float(np.max(np.abs(a @ x - b)))
     if residual > 100 * feas_tol * bscale:
         raise NumericError(f"optimal basis lost feasibility (residual {residual:.3e})")
-    y = sim2.binv.T @ c[sim2.basis]
+    y = binv.T @ c[basis]
     obj = float(c @ x)
     gap = abs(obj - float(b1 @ y))
     if gap > gap_tol * (1.0 + abs(obj)):  # pragma: no cover - gap is roundoff only
@@ -334,8 +351,19 @@ def _phase2(a, a1, b, b1, b1p, sign, c, basis, binv, start_iters,
     dual = np.zeros(a.shape[0])
     dual[row_keep] = sign * y
     return LPSolution(status="optimal", point=x, objective_value=obj,
-                      dual_point=dual, iterations=sim2.iterations,
-                      basis=sim2.basis.copy())
+                      dual_point=dual, iterations=iterations, basis=basis)
+
+
+def certify_basis(p: LPProblem, basis: np.ndarray) -> LPSolution:
+    """solve_lp's "optimal" verdict for a basis that another pivot loop found
+    optimal: the same closing certificate, with solve_lp's default
+    tolerances, and the bytes solve_lp gives when it ends at this basis. The
+    caller vouches for dual feasibility (its pricing); NumericError when a
+    check fails."""
+    a, b, c = p.constraint_matrix, p.rhs, p.objective
+    sign, a1, b1, bscale = _oriented(a, b)
+    return _certified(a, a1, b, b1, sign, c, basis, np.arange(a.shape[0]), 0,
+                      _FEAS_TOL, _GAP_TOL, bscale)
 
 
 def dump_problem(p: LPProblem, path) -> None:

@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .body import RadiiEstimate, RandomQuotientBody, body_norm, dual_norm, operator_norm, radii
+from .body import (RadiiEstimate, RandomQuotientBody, body_norm_many, dual_norm_many,
+                   operator_norm, radii)
 from .errors import UsageError
 from .linalg import as_matrix, check_orthonormal, golden_min, svd
 from .sampler import HaarSubspace, generator
@@ -113,21 +114,21 @@ def _restriction_certificate(body: RandomQuotientBody, t: np.ndarray, k: int,
                              samples: int) -> float:
     """Sampled sup of ||Tz|| / ||z|| over the orthocomplement of the top k-1
     right singular directions (a codim k-1 subspace, hence an upper-bound
-    witness subspace for the k-th Gelfand number)."""
+    witness subspace for the k-th Gelfand number). The norms of all
+    directions and of all their images are two batched calls."""
     z_basis = right_basis[:, k - 1:]
-    norm = dual_norm if dual else body_norm
+    norm_many = dual_norm_many if dual else body_norm_many
     rng = generator(body.seed.child(0xCE27))
     raw = rng.normal(size=(samples, body.n))
     proj = raw @ z_basis @ z_basis.T
-    keep = np.linalg.norm(proj, axis=1) > 1e-12
-    dirs = [z_basis[:, 0]] + [p / np.linalg.norm(p) for p in proj[keep]]
-    best = 0.0
-    for z in dirs:
-        denom = norm(body, z)
-        if denom <= 1e-14:
-            continue
-        best = max(best, norm(body, t @ z) / denom)
-    return best
+    lengths = np.linalg.norm(proj, axis=1)
+    keep = lengths > 1e-12
+    dirs = np.vstack([z_basis[:, 0], proj[keep] / lengths[keep, None]])
+    denom = norm_many(body, dirs)
+    usable = denom > 1e-14
+    if not usable.any():
+        return 0.0
+    return float(np.max(norm_many(body, dirs[usable] @ t.T) / denom[usable]))
 
 
 def gelfand_bracket(body: RandomQuotientBody, t, k: int, dual: bool = False,

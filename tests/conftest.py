@@ -44,19 +44,24 @@ def angular_net_gauge_ratio(body, t, points: int = 10_000) -> float:
     return float(np.max(num / den))
 
 
-def highs_max_gauge(gamma: np.ndarray, points: np.ndarray) -> float:
-    """max over the rows x of points of min ||t||_1 s.t. gamma t = x, by HiGHS."""
+def highs_gauges(gamma: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """min ||t||_1 s.t. gamma t = x for each row x of points, by HiGHS."""
     from scipy.optimize import linprog
 
     a = np.hstack([gamma, -gamma])
     cost = np.ones(a.shape[1])
-    best = 0.0
+    gauges = []
     for x in points:
         res = linprog(cost, A_eq=a, b_eq=x, bounds=(0, None), method="highs",
                       options={"presolve": False})  # presolve only slows these
         assert res.status == 0, res.message
-        best = max(best, float(res.fun))
-    return best
+        gauges.append(float(res.fun))
+    return np.array(gauges)
+
+
+def highs_max_gauge(gamma: np.ndarray, points: np.ndarray) -> float:
+    """max over the rows x of points of min ||t||_1 s.t. gamma t = x, by HiGHS."""
+    return float(max(highs_gauges(gamma, points), default=0.0))
 
 
 def enumerate_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = 1e-9):

@@ -9,7 +9,7 @@ from genquot.body import _gauge_lp, _inradius_descent, _unit_sphere
 from genquot import body as body_module, linprog
 from genquot.sampler import generator
 
-from conftest import angular_net_gauge_ratio, highs_max_gauge
+from conftest import angular_net_gauge_ratio, highs_gauges, highs_max_gauge
 
 
 def seed(i, j=0):
@@ -238,6 +238,102 @@ class TestMaxGaugeKernel:
         q = gq.operator_norm(body, t)
         assert q == pytest.approx(max(gq.body_norm(body, x) for x in images), rel=1e-13)
         assert q == pytest.approx(highs_max_gauge(body.gamma, images), rel=1e-9)
+
+
+def _section_directions(n: int, count: int, s: int) -> np.ndarray:
+    # unit directions in a Haar section of codimension n/4, as section_distortion draws them
+    sub = gq.haar_subspace(n, n - n // 4, seed(s, 1))
+    return _unit_sphere(generator(seed(s, 2)), count, sub.dim) @ sub.basis.T
+
+
+class TestLockstepGauges:
+    """body_norm_many above the hull cap solves its rows in one lock-step batch."""
+
+    @pytest.mark.parametrize("n,big_n", [(8, 64), (16, 256)])
+    def test_full_lp_path_bit_identical_to_body_norm(self, n, big_n, monkeypatch):
+        body = gq.make_body(n, big_n, seed(160, n))
+        dirs = _section_directions(n, 64, 161 + n)
+        certified = []
+        certify = body_module.certify_basis
+
+        def spy(*args, **kwargs):
+            certified.append(1)
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(body_module, "certify_basis", spy)
+        assert not np.isnan(body_module._lockstep_gauges(body, dirs)).any()
+        assert len(certified) == len(dirs)  # every batched gauge passed solve_lp's certificate
+        got = gq.body_norm_many(body, dirs)
+        assert got.tobytes() == np.array([gq.body_norm(body, x) for x in dirs]).tobytes()
+
+    @pytest.mark.parametrize("n,big_n", [(24, 576), (36, 1296)])
+    def test_column_generation_path_agrees_with_scalar_and_highs(self, n, big_n):
+        # the batch sums the same LP objective over all 2N columns, column
+        # generation over its working subset: the bytes may differ in roundoff
+        body = gq.make_body(n, big_n, seed(162, n))
+        dirs = _section_directions(n, 32, 163 + n)
+        got = gq.body_norm_many(body, dirs)
+        scalar = np.array([gq.body_norm(body, x) for x in dirs])
+        assert np.max(np.abs(got - scalar) / scalar) <= 1e-15
+        assert got[:8] == pytest.approx(highs_gauges(body.gamma, dirs[:8]), rel=1e-9)
+
+    @pytest.mark.parametrize("n,big_n", [(16, 256), (24, 576)])
+    def test_bytes_do_not_depend_on_order_or_batch(self, n, big_n):
+        body = gq.make_body(n, big_n, seed(164, n))
+        dirs = _section_directions(n, 48, 165 + n)
+        got = gq.body_norm_many(body, dirs)
+        perm = generator(seed(164, 1)).permutation(len(dirs))
+        assert gq.body_norm_many(body, dirs[perm]).tobytes() == got[perm].tobytes()
+        assert gq.body_norm_many(body, dirs[5:12]).tobytes() == got[5:12].tobytes()
+        others = gq.gaussian_matrix(20, n, 1.0, seed(164, 2))
+        mixed = gq.body_norm_many(body, np.vstack([others, dirs[:6]]))
+        assert mixed[20:].tobytes() == got[:6].tobytes()
+
+    def test_zero_rows_give_zero(self):
+        body = gq.make_body(8, 64, seed(166))
+        dirs = _section_directions(8, 6, 167)
+        pts = np.insert(dirs, [0, 3, 6], 0.0, axis=0)
+        got = gq.body_norm_many(body, pts)
+        assert got[[0, 4, 8]].tolist() == [0.0, 0.0, 0.0]
+        assert np.delete(got, [0, 4, 8]).tobytes() == gq.body_norm_many(body, dirs).tobytes()
+        assert gq.body_norm_many(body, np.zeros((3, 8))).tolist() == [0.0, 0.0, 0.0]
+
+    def test_singular_crash_basis_goes_to_scalar_path(self, monkeypatch):
+        g = gq.gaussian_matrix(8, 40, 0.125, seed(168))
+        body = gq.body_from_matrix(np.hstack([g, g[:, :1]]))  # column 40 == column 0
+        # x close to g_0: columns 0 and 40 lead the crash ranking, so its Gamma_S is singular
+        x = g[:, 0] + 1e-3 * gq.gaussian_vector(8, 1.0, seed(168, 1))
+        pts = np.vstack([x, _section_directions(8, 5, 169)])
+        crash_usable = []
+        inverses = body_module._inverses
+
+        def inverses_spy(mats):
+            inv, usable = inverses(mats)
+            crash_usable.append(usable)
+            return inv, usable
+
+        monkeypatch.setattr(body_module, "_inverses", inverses_spy)
+        lockstep = body_module._lockstep_gauges(body, pts)
+        assert not crash_usable[0][0] and np.isnan(lockstep[0])
+        scalar_rows = []
+
+        def gauge_spy(b, v, start_basis=None, cutoff=None):
+            scalar_rows.append(v.tobytes())
+            return _gauge_lp(b, v, start_basis, cutoff)
+
+        monkeypatch.setattr(body_module, "_gauge_lp", gauge_spy)
+        got = gq.body_norm_many(body, pts)
+        assert scalar_rows == [v.tobytes() for v in pts[np.isnan(lockstep)]]
+        assert got.tobytes() == np.array([gq.body_norm(body, v) for v in pts]).tobytes()
+        assert got == pytest.approx(highs_gauges(body.gamma, pts), rel=1e-9)
+
+    def test_forced_fallback_gives_scalar_values(self, monkeypatch):
+        body = gq.make_body(16, 256, seed(170))
+        pts = np.vstack([_section_directions(16, 8, 171), np.zeros(16)])
+        monkeypatch.setattr(body_module, "_lockstep_gauges",
+                            lambda b, p: np.full(p.shape[0], np.nan))
+        got = gq.body_norm_many(body, pts)
+        assert got.tobytes() == np.array([gq.body_norm(body, x) for x in pts]).tobytes()
 
 
 class TestRadii:

@@ -259,6 +259,53 @@ def test_config_file_defaults_overridden_by_flags(tmp_path, capsys):
     assert json.loads(out2.read_text())["config"]["trials"] == 4
 
 
+@pytest.mark.parametrize("flag", [["--trials=4"], ["--tri", "4"], ["--tri=4"]],
+                         ids=["equals", "abbreviated", "abbreviated-equals"])
+def test_config_file_loses_to_every_flag_spelling(tmp_path, flag):
+    cfg = tmp_path / "genquot.cfg"
+    cfg.write_text("trials=2\n")
+    out = tmp_path / "r.json"
+    code = main(["verify", "hsbound", "--seed", "7", "--config", str(cfg), *flag,
+                 "--out", str(out), "--thresholds", THRESHOLDS_PATH, "--threads", "1"])
+    assert code == 0
+    assert json.loads(out.read_text())["config"]["trials"] == 4
+
+
+@pytest.mark.parametrize("value", ["ture", "on", ""])
+def test_config_file_bad_store_true_value_exits_2(body_file, tmp_path, capsys, value):
+    mpath = tmp_path / "t.mtx"
+    gq.write_matrix(np.eye(3), mpath)
+    cfg = tmp_path / "genquot.cfg"
+    cfg.write_text(f"dual={value}\n")
+    assert main(["snumbers", "--body", str(body_file), "--matrix", str(mpath), "--k", "1",
+                 "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"genquot: usage error: config file {cfg}: ")
+    assert "'dual'" in err
+
+
+@pytest.mark.parametrize("value,kind", [("YES", "d"), ("0", "c")])
+def test_config_file_store_true_words(body_file, tmp_path, capsys, value, kind):
+    mpath = tmp_path / "t.mtx"
+    gq.write_matrix(np.eye(3), mpath)
+    cfg = tmp_path / "genquot.cfg"
+    cfg.write_text(f"dual={value}\n")
+    assert main(["snumbers", "--body", str(body_file), "--matrix", str(mpath), "--k", "1",
+                 "--config", str(cfg)]) == 0
+    assert f"{kind}_1 in [" in capsys.readouterr().out
+
+
+def test_config_file_positional_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "genquot.cfg"
+    cfg.write_text("suite=lemmaA\n")
+    assert main(["verify", "hsbound", "--seed", "7", "--trials", "1", "--threads", "1",
+                 "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"genquot: usage error: config file {cfg}: 'suite'")
+    assert "suite lemmaA" not in captured.out
+
+
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "genquot.cfg"
     cfg.write_text("bogus=1\n")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import genquot as gq
-from genquot.snumbers import GelfandSumResult
+from genquot.sampler import generator
+from genquot.snumbers import GelfandSumResult, _restriction_certificate
 
 from conftest import net_gelfand_3d
 
@@ -82,6 +83,23 @@ class TestGelfandBracket:
         dual = gq.gelfand_bracket(body, t, 2, dual=True, rad=rad)
         assert dual.lower == pytest.approx(primal.lower, rel=1e-12)
         assert dual.upper == pytest.approx(primal.upper, rel=1e-12)
+
+    @pytest.mark.parametrize("n,big_n,dual", [(4, 12, False), (8, 64, False), (8, 64, True)])
+    def test_certificate_matches_per_direction_loop(self, n, big_n, dual):
+        # reference: one scalar norm per direction and per image, as the
+        # certificate was computed before it batched them
+        body = gq.make_body(n, big_n, seed(78, n))
+        t = gq.gaussian_matrix(n, n, 1.0, seed(78, 1))
+        work = t.T if dual else t
+        right = gq.svd(work).right_basis
+        got = _restriction_certificate(body, work, 2, right, dual, 32)
+        norm = gq.dual_norm if dual else gq.body_norm
+        z_basis = right[:, 1:]
+        proj = generator(body.seed.child(0xCE27)).normal(size=(32, n)) @ z_basis @ z_basis.T
+        dirs = [z_basis[:, 0]] + [p / np.linalg.norm(p) for p in proj]
+        ref = max(norm(body, work @ z) / norm(body, z) for z in dirs)
+        # the polar-facet gauges at n <= 6 agree with the LP to its tolerance
+        assert got == pytest.approx(ref, rel=1e-7 if n <= 6 else 1e-12)
 
     def test_k_validated(self):
         body = gq.make_body(3, 6, seed(77))
