@@ -6,13 +6,13 @@ exactly as the minimum l1 preimage norm via an equality-form LP (variables
 split into positive and negative parts); the dual norm is the support
 function max_j |<g_j, u>|, a plain matrix product.
 
-For low dimensions (volume estimation, batched section sampling) the gauge is
-also available through the polar description of B: the facets of the convex
-hull of {+-g_j} give the vertices of the polar body, and the gauge is a single
-max of inner products. Both routes agree to LP tolerance and are cross-checked
-in the test suite. Above that dimension a batch of gauges (body_norm_many) is
-one phase-2 simplex run over all its right-hand sides in lock-step: the LPs
-share [Gamma, -Gamma] and the cost vector, so each pivot step is a few matrix
+For low dimensions the convex hull of {+-g_j} (one Qhull call per body)
+gives the exact volume of B and, through its facets, the vertices of the
+polar body, so a batch of gauges is a single max of inner products. Both
+gauge routes agree to LP tolerance and are cross-checked in the test suite.
+Above that dimension a batch of gauges (body_norm_many) is one phase-2
+simplex run over all its right-hand sides in lock-step: the LPs share
+[Gamma, -Gamma] and the cost vector, so each pivot step is a few matrix
 products over the whole batch, and every row starts from a feasible crash
 basis, so none runs phase 1.
 
@@ -23,6 +23,7 @@ any number of threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,9 +57,6 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-8
-_MEMBERSHIP_SLACK = 1e-8
-_MEMBERSHIP_BLOCK = 2048  # volume_ratio: points per membership block
-_SCREEN_FACETS = 32  # volume_ratio: facets tried on every point before the rest
 _HULL_DIM_CAP = 6  # batch gauge uses the polar facets up to this dimension, LPs above
 _LOCKSTEP_ROWS = 512  # body_norm_many: rows per lock-step batch (bounds its memory)
 _GAUGE_PRICE_TOL = 2e-9  # solve_lp's pricing tolerance 1e-9 * (1 + max|c|) at c = 1
@@ -81,20 +79,23 @@ class RandomQuotientBody:
         return float(self.column_norms.max())
 
     @cached_property
-    def polar_vertices(self) -> np.ndarray:
-        """Rows w with B = {x : <w, x> <= 1 for all w}; exact polar V-description.
-
-        Only sensible for small n (facet counts explode with dimension).
+    def hull(self):
+        """Qhull's convex hull of {+-g_j} (n >= 2), shared by polar_vertices
+        and volume_ratio. Only sensible for small n (facet counts explode
+        with dimension).
         """
+        from scipy.spatial import ConvexHull
+
+        return ConvexHull(np.vstack([self.gamma.T, -self.gamma.T]))
+
+    @cached_property
+    def polar_vertices(self) -> np.ndarray:
+        """Rows w with B = {x : <w, x> <= 1 for all w}; exact polar V-description."""
         if self.n == 1:
             r = self.circumradius
             return np.array([[1.0 / r], [-1.0 / r]])
-        from scipy.spatial import ConvexHull
-
-        pts = np.vstack([self.gamma.T, -self.gamma.T])
-        hull = ConvexHull(pts)
-        normals = hull.equations[:, :-1]
-        offsets = -hull.equations[:, -1]
+        normals = self.hull.equations[:, :-1]
+        offsets = -self.hull.equations[:, -1]
         if np.any(offsets <= 0):  # pragma: no cover - origin is interior by symmetry
             raise NumericError("convex hull does not contain the origin")
         return normals / offsets[:, None]
@@ -543,7 +544,7 @@ def radii(body: RandomQuotientBody, restarts: int = 64, seed: SeedSpec | None = 
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo functionals
+# volume and Monte Carlo functionals
 # ---------------------------------------------------------------------------
 
 
@@ -573,70 +574,20 @@ def mean_width(body: RandomQuotientBody, samples: int, seed: SeedSpec) -> tuple[
     return mean, float(np.sqrt(var / samples))
 
 
-def _wilson_interval(hits: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    # 95% score interval; robust at the p -> 0 and p -> 1 ends
-    p = hits / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
-    return max(center - half, 0.0), min(center + half, 1.0)
+def volume_ratio(body: RandomQuotientBody, *_legacy) -> float:
+    """(vol B / vol D_n)^(1/n), with vol B the exact volume of body.hull
+    (Qhull, up to rounding) and vol D_n = pi^(n/2) / Gamma(n/2 + 1). At
+    n = 1, B is the segment [-R, R] and the ratio is its circumradius R.
 
-
-def volume_ratio(body: RandomQuotientBody, samples: int, seed: SeedSpec) -> tuple[float, float, float]:
-    """(vol B / vol D)^(1/n) by rejection sampling inside the circumradius ball.
-
-    Returns the point estimate with a 95% binomial confidence interval
-    propagated through the 1/n power. Membership is the exact polar-facet
-    gauge test ||x||_B <= 1 + 1e-8, identical to the LP gauge to solver
-    tolerance.
-
-    Membership is tested in blocks of _MEMBERSHIP_BLOCK points inside each
-    draw chunk. With more than _SCREEN_FACETS facets (with fewer, a screen
-    would be every facet), the first block meets every facet and the
-    _SCREEN_FACETS facets that most often give the maximum for its rejected
-    points form a screen. In every later block a point whose screen maximum
-    exceeds the threshold is rejected at once, since a screen facet is a
-    facet and the full maximum is at least as large; only the survivors
-    (mostly the 3-8% of points inside B) meet every facet. So each point
-    gets the same decision as the full test, and the draws are unchanged.
+    Extra positional arguments (the sample count and seed of the former
+    rejection-sampling estimator) are accepted and ignored.
     """
     if body.n > VOLUME_DIM_CAP:
         raise UsageError(f"volume_ratio is capped at n <= {VOLUME_DIM_CAP}, got n={body.n}")
-    if samples < 10_000:
-        raise UsageError(f"volume_ratio needs >= 10^4 samples, got {samples}")
-    rng = generator(seed)
-    r = body.circumradius
-    w = body.polar_vertices  # may exceed the batch-dim cap: explicit polar here
-    limit = 1.0 + _MEMBERSHIP_SLACK
-    hits = 0
-    chunk = max(1, min(samples, (1 << 22) // max(w.shape[0], 1)))
-    screened = w.shape[0] > _SCREEN_FACETS
-    screen = None
-    done = 0
-    while done < samples:
-        take = min(chunk, samples - done)
-        x = _unit_sphere(rng, take, body.n)
-        radius = r * rng.random(take) ** (1.0 / body.n)
-        pts = x * radius[:, None]
-        for start in range(0, take, _MEMBERSHIP_BLOCK):
-            block = pts[start:start + _MEMBERSHIP_BLOCK]
-            if screen is not None:
-                block = block[np.max(block @ screen, axis=1) <= limit]
-            prod = block @ w.T
-            inside = np.max(prod, axis=1) <= limit
-            hits += int(np.count_nonzero(inside))
-            if screened and screen is None:
-                votes = np.bincount(np.argmax(prod, axis=1)[~inside], minlength=w.shape[0])
-                top = np.argsort(-votes, kind="stable")[:_SCREEN_FACETS]
-                screen = np.ascontiguousarray(w[top].T)
-        done += take
-    p = hits / samples
-    lo, hi = _wilson_interval(hits, samples)
-    return (
-        float(r * p ** (1.0 / body.n)),
-        float(r * lo ** (1.0 / body.n)),
-        float(r * hi ** (1.0 / body.n)),
-    )
+    if body.n == 1:
+        return body.circumradius
+    ball = math.pi ** (body.n / 2) / math.gamma(body.n / 2 + 1)
+    return float((body.hull.volume / ball) ** (1.0 / body.n))
 
 
 def section_distortion(body: RandomQuotientBody, subspace: HaarSubspace, samples: int,

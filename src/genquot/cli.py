@@ -121,11 +121,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--seed", type=_parse_seed, required=True)
     p.add_argument("--stream", type=_parse_seed, default=0)
 
-    p = add("volume", help="volume ratio per dimension by rejection sampling")
+    p = add("volume", help="exact volume ratio per dimension from the convex hull (n <= 8)")
     p.add_argument("--body", required=True)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=_parse_seed, required=True)
-    p.add_argument("--stream", type=_parse_seed, default=0)
 
     p = add("snumbers", help="Euclidean s-numbers, or a Gelfand bracket with --k")
     p.add_argument("--body", required=True)
@@ -201,7 +198,7 @@ def _apply_config_file(args: argparse.Namespace, subparser: argparse.ArgumentPar
         if not ln or ln.startswith("#"):
             continue
         if "=" not in ln:
-            raise UsageError(f"bad config line {ln!r}: expected key=value")
+            raise UsageError(f"config file {args.config}: bad line {ln!r}: expected key=value")
         key, value = ln.split("=", 1)
         entries[key.strip()] = value.strip()
     actions = {a.dest: a for a in subparser._actions}
@@ -209,7 +206,8 @@ def _apply_config_file(args: argparse.Namespace, subparser: argparse.ArgumentPar
     for key, value in entries.items():
         dest = key.replace("-", "_")
         if dest not in actions:
-            raise UsageError(f"unknown config key {key!r} for this subcommand")
+            raise UsageError(f"config file {args.config}: unknown key {key!r} "
+                             f"for {args.command}")
         action = actions[dest]
         if not action.option_strings:
             raise UsageError(f"config file {args.config}: {key!r} is a positional argument; "
@@ -282,8 +280,7 @@ def _cmd_meanwidth(args) -> int:
 
 def _cmd_volume(args) -> int:
     body = load_body(args.body)
-    ratio, lo, hi = volume_ratio(body, args.samples, _seed_of(args))
-    print(f"volume_ratio_per_dim {ratio:.12g} ci95 [{lo:.12g}, {hi:.12g}]")
+    print(f"volume_ratio_per_dim {volume_ratio(body):.12g}")
     return 0
 
 

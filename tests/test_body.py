@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -430,48 +432,79 @@ class TestMeanWidth:
             gq.mean_width(cross2, 99, seed(1))
 
 
+_WILSON_Z_999 = 3.2905267314919255  # two-sided 99.9% normal quantile
+
+
+def _wilson_interval(hits, trials, z):
+    p = hits / trials
+    denom = 1.0 + z * z / trials
+    center = (p + z * z / (2 * trials)) / denom
+    half = z * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
+    return max(center - half, 0.0), min(center + half, 1.0)
+
+
+def _sampled_volume_ratio_interval(body, samples, sd):
+    """Rejection-sampling oracle: uniform points in the circumradius ball,
+    membership by the polar facets; the Wilson interval of the hit rate,
+    carried through R * p^(1/n). It never reads the hull's volume."""
+    n, r = body.n, body.circumradius
+    rng = generator(sd)
+    pts = _unit_sphere(rng, samples, n) * (r * rng.random(samples) ** (1.0 / n))[:, None]
+    hits = int(np.count_nonzero(np.max(pts @ body.polar_vertices.T, axis=1) <= 1.0 + 1e-8))
+    lo, hi = _wilson_interval(hits, samples, _WILSON_Z_999)
+    return r * lo ** (1.0 / n), r * hi ** (1.0 / n)
+
+
 class TestVolumeRatio:
+    @pytest.mark.parametrize("n,rotated", [(n, False) for n in range(1, 7)]
+                             + [(n, True) for n in (3, 4, 5)])
+    def test_cross_polytope(self, n, rotated):
+        # Q B_1^n has the volume of the l1 ball, 2^n / n!, for orthogonal Q
+        gamma = (np.linalg.qr(generator(seed(977, n)).normal(size=(n, n)))[0]
+                 if rotated else np.eye(n))
+        ball = np.pi ** (n / 2) / math.gamma(n / 2 + 1)
+        target = (2.0 ** n / math.factorial(n) / ball) ** (1.0 / n)
+        assert gq.volume_ratio(gq.body_from_matrix(gamma)) == pytest.approx(target, rel=1e-12)
+
     def test_cross_polytope_2d(self, cross2):
-        ratio, lo, hi = gq.volume_ratio(cross2, 200_000, seed(54))
-        target = np.sqrt(2.0 / np.pi)
-        assert lo - 1e-9 <= target <= hi + 1e-9
-        assert ratio == pytest.approx(target, abs=0.01)
+        assert gq.volume_ratio(cross2) == pytest.approx(np.sqrt(2.0 / np.pi), rel=1e-12)
+
+    @pytest.mark.parametrize("n,big_n", [(3, 48), (4, 64), (5, 80)])
+    @pytest.mark.parametrize("i", range(3))
+    def test_inside_sampling_interval(self, n, big_n, i):
+        body = gq.make_body(n, big_n, seed(973, i))
+        lo, hi = _sampled_volume_ratio_interval(body, 40_000, seed(974, i))
+        assert lo <= gq.volume_ratio(body) <= hi
+
+    def test_one_hull_per_body(self, monkeypatch):
+        import scipy.spatial
+
+        calls = []
+        hull = scipy.spatial.ConvexHull
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return hull(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", counted)
+        body = gq.make_body(4, 40, seed(975))
+        gq.volume_ratio(body)
+        gq.body_norm_many(body, np.eye(4))
+        assert body.polar_vertices.shape[1] == 4
+        assert len(calls) == 1
 
     def test_segment(self):
         body = gq.make_body(1, 1, seed(55))
-        ratio, lo, hi = gq.volume_ratio(body, 10_000, seed(55, 1))
-        g = abs(float(body.gamma[0, 0]))
-        assert lo - 1e-12 <= g <= hi + 1e-12
+        assert gq.volume_ratio(body) == abs(float(body.gamma[0, 0]))
+
+    def test_former_sampling_arguments_are_ignored(self):
+        body = gq.make_body(3, 12, seed(976))
+        assert gq.volume_ratio(body, 10_000, seed(1)) == gq.volume_ratio(body)
 
     def test_dimension_cap(self):
         body = gq.make_body(9, 18, seed(56))
         with pytest.raises(gq.UsageError):
-            gq.volume_ratio(body, 10_000, seed(1))
-
-    def test_min_samples(self, cross2):
-        with pytest.raises(gq.UsageError):
-            gq.volume_ratio(cross2, 9_999, seed(1))
-
-    # facet counts 6 and 28 (no more than the screen: no screen), 194 (a draw
-    # chunk of 21620 rows ends mid-block) and 1212 (chunks of 3460 rows, under
-    # two blocks)
-    @pytest.mark.parametrize("n,big_n,sd,samples", [
-        (2, 9, seed(971), 10_001), (3, 12, seed(971), 12_345),
-        (4, 40, seed(971), 50_001), (5, 80, seed(970, 9), 30_001)])
-    def test_screened_hits_equal_full_facet_max(self, n, big_n, sd, samples):
-        body = gq.make_body(n, big_n, sd)
-        w = body.polar_vertices
-        rng = generator(seed(972))
-        chunk = (1 << 22) // w.shape[0]
-        hits = done = 0
-        while done < samples:
-            take = min(chunk, samples - done)
-            x = _unit_sphere(rng, take, n)
-            pts = x * (body.circumradius * rng.random(take) ** (1.0 / n))[:, None]
-            hits += int(np.count_nonzero(np.max(pts @ w.T, axis=1) <= 1.0 + 1e-8))
-            done += take
-        ratio = gq.volume_ratio(body, samples, seed(972))[0]
-        assert ratio == body.circumradius * (hits / samples) ** (1.0 / n)
+            gq.volume_ratio(body)
 
 
 class TestSectionDistortion:
@@ -524,12 +557,7 @@ class TestSerialization:
 
 
 def test_volume_trend_at_4_64():
-    # ratio_per_dim CI stays below 3.0 sqrt(log(N/n)/n) across seeds at (4, 64)
+    # the ratio per dimension stays below 3.0 sqrt(log(N/n)/n) across seeds at (4, 64)
     scale = 3.0 * np.sqrt(np.log(64 / 4) / 4)
-    hits = 0
     for i in range(5):
-        body = gq.make_body(4, 64, seed(960, i))
-        _, _, hi = gq.volume_ratio(body, 20_000, seed(961, i))
-        if hi <= scale:
-            hits += 1
-    assert hits == 5
+        assert gq.volume_ratio(gq.make_body(4, 64, seed(960, i))) <= scale

@@ -101,8 +101,15 @@ def test_radii_meanwidth_volume(body_file, capsys):
     assert "circumradius" in out and "inradius_estimate" in out
     assert main(["meanwidth", "--body", str(body_file), "--samples", "2000", "--seed", "7"]) == 0
     assert "mean_width" in capsys.readouterr().out
-    assert main(["volume", "--body", str(body_file), "--samples", "10000", "--seed", "7"]) == 0
-    assert "ci95" in capsys.readouterr().out
+    assert main(["volume", "--body", str(body_file)]) == 0
+    ratio = gq.volume_ratio(gq.load_body(body_file))
+    assert capsys.readouterr().out == f"volume_ratio_per_dim {ratio:.12g}\n"
+
+
+def test_volume_has_no_sampling_flags(body_file, capsys):
+    # the volume is exact: the sampler's flags are gone and argparse rejects them
+    assert main(["volume", "--body", str(body_file), "--samples", "10000", "--seed", "7"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_construct_l1_and_witness_file(body_file, tmp_path, capsys):
@@ -310,6 +317,19 @@ def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "genquot.cfg"
     cfg.write_text("bogus=1\n")
     assert main(["verify", "hsbound", "--seed", "7", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("text,quoted", [("bogus=1\n", "'bogus'"),
+                                         ("trials 2\n", "'trials 2'")],
+                         ids=["unknown-key", "no-equals"])
+def test_config_file_structure_errors_name_the_file(tmp_path, capsys, text, quoted):
+    cfg = tmp_path / "genquot.cfg"
+    cfg.write_text(text)
+    assert main(["verify", "hsbound", "--seed", "7", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [err.strip()]
+    assert err.startswith(f"genquot: usage error: config file {cfg}: ")
+    assert quoted in err
 
 
 @pytest.mark.parametrize("text,argv", [
