@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IoError, NotInSpan, NumericError, UsageError
-from .linalg import as_matrix, as_vector, format_matrix, golden_min, parse_matrix
+from .linalg import as_matrix, as_vector, format_matrix, parse_matrix
 from .linprog import (_DEGEN_STREAK, _PIV_TOL, _REFACTOR_EVERY, LPProblem, LPSolution,
                       _perturbed, certify_basis, solve_lp)
 from .sampler import HaarSubspace, SeedSpec, gaussian_matrix, generator
@@ -466,22 +466,6 @@ def max_gauge_in_span(body: RandomQuotientBody, basis: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _support_on_circle(body: RandomQuotientBody, thetas: np.ndarray) -> np.ndarray:
-    dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    return np.max(np.abs(dirs @ body.gamma), axis=1)
-
-
-def _inradius_exact_2d(body: RandomQuotientBody) -> tuple[float, np.ndarray]:
-    # dense angular net, then golden-section polish inside the best bracket
-    m = max(8192, 64 * body.N)
-    thetas = np.linspace(0.0, np.pi, m, endpoint=False)  # symmetry: h(-u) = h(u)
-    i = int(np.argmin(_support_on_circle(body, thetas)))
-    theta, _ = golden_min(lambda th: float(_support_on_circle(body, np.array([th]))[0]),
-                          thetas[i] - np.pi / m, thetas[i] + np.pi / m)
-    u = np.array([np.cos(theta), np.sin(theta)])
-    return float(np.max(np.abs(u @ body.gamma))), u
-
-
 def _inradius_descent(body: RandomQuotientBody, restarts: int, seed: SeedSpec,
                       steps: int = 500, decay: float = 0.97) -> tuple[float, np.ndarray]:
     rng = generator(seed)
@@ -523,18 +507,16 @@ def _inradius_descent(body: RandomQuotientBody, restarts: int, seed: SeedSpec,
 def radii(body: RandomQuotientBody, restarts: int = 64, seed: SeedSpec | None = None) -> RadiiEstimate:
     """Circumradius (exact) and inradius estimate (multi-start minimization).
 
-    n = 1 and n = 2 are solved essentially exactly (closed form / angular net
-    with golden-section polish); higher dimensions use projected subgradient
-    descent on the support function over the sphere and report the best value
-    found, an upper bound on the true inradius.
+    n <= 2 is exact, from the hull's polar facets: the polar vertex w of
+    largest norm gives the nearest facet, at distance 1/|w| along w/|w|.
+    Higher dimensions use projected subgradient descent on the support
+    function over the sphere and report the best value found, an upper bound
+    on the true inradius.
     """
-    if body.n == 1:
-        u = np.array([1.0])
-        val = float(np.max(np.abs(u @ body.gamma)))
-        return RadiiEstimate(body.circumradius, val, u)
-    if body.n == 2:
-        val, u = _inradius_exact_2d(body)
-        return RadiiEstimate(body.circumradius, val, u)
+    if body.n <= 2:
+        w = body.polar_vertices[np.argmax(np.linalg.norm(body.polar_vertices, axis=1))]
+        u = w / np.linalg.norm(w)
+        return RadiiEstimate(body.circumradius, dual_norm(body, u), u)
     if seed is None:
         raise UsageError("radii requires a SeedSpec for n >= 3 (stochastic restarts)")
     if restarts < 1:

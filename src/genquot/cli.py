@@ -338,12 +338,19 @@ def _load_thresholds_arg(args) -> dict:
     return {}
 
 
+def _threads_of(args) -> int:
+    if args.threads is None:
+        return _default_threads()
+    if args.threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {args.threads}")
+    return args.threads
+
+
 def _cmd_verify(args) -> int:
     thresholds = _load_thresholds_arg(args)
     cfg = default_config(args.suite, master_seed=args.seed, trials=args.trials,
                          thresholds=thresholds, samples=args.samples)
-    threads = args.threads if args.threads is not None else _default_threads()
-    report = run_suite(cfg, threads=threads)
+    report = run_suite(cfg, threads=_threads_of(args))
     if args.out:
         write_report(report, args.format, args.out)
         print(f"wrote {args.format} report to {args.out}")
@@ -354,8 +361,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
-    thresholds = calibrate(master_seed=args.seed, threads=threads, trials=args.trials)
+    thresholds = calibrate(master_seed=args.seed, threads=_threads_of(args), trials=args.trials)
     write_thresholds(thresholds, args.out)
     for key in sorted(thresholds):
         print(f"{key} = {thresholds[key]:.6g}")

@@ -63,6 +63,7 @@ __all__ = [
 
 _STRIDE_CELL = 1 << 32
 _STRIDE_TRIAL = 1 << 16
+_VOLUME_TRIALS = 20  # lemmaD trials per volume cell (the report echoes it)
 
 # Built-in acceptance thresholds; entries marked "calibrated" are meant to be
 # overridden by a frozen thresholds file produced by `calibrate`.
@@ -100,7 +101,6 @@ class SuiteConfig:
     size_grid: tuple[tuple[int, ...], ...]
     thresholds: dict[str, float] = field(default_factory=dict)
     samples: int = 0
-    volume_trials: int = 20
 
     def __post_init__(self):
         if self.suite_id not in SUITE_IDS:
@@ -127,7 +127,7 @@ class SuiteConfig:
             "size_grid": [list(c) for c in self.size_grid],
             "thresholds": {k: self.thresholds[k] for k in sorted(self.thresholds)},
             "samples": self.samples,
-            "volume_trials": self.volume_trials,
+            "volume_trials": _VOLUME_TRIALS,
         }
 
 
@@ -435,7 +435,7 @@ def _lemma_d_jobs(cfg: SuiteConfig) -> list[Job]:
     jobs: list[Job] = []
     for ci, cell in enumerate(cfg.size_grid):
         if cell[0] <= VOLUME_DIM_CAP:
-            jobs += [(_lemma_d_volume_trial, ci, cell, t) for t in range(cfg.volume_trials)]
+            jobs += [(_lemma_d_volume_trial, ci, cell, t) for t in range(_VOLUME_TRIALS)]
         else:
             jobs += [(_lemma_d_radii_trial, ci, cell, t) for t in range(cfg.trials)]
     return jobs

@@ -1,5 +1,5 @@
 """Dense real linear algebra primitives: SVD, orthonormalization, projection,
-and the golden-section line search shared by the radii and shift searches.
+and the golden-section line search of the shift search.
 
 Everything operates on plain float64 numpy arrays (matrices are 2-d,
 column-oriented where a basis is meant). The text serialization here is the

@@ -1,19 +1,18 @@
 """Dense equality-form linear programming: min c.x s.t. A x = b, x >= 0.
 
 Revised simplex with an explicitly maintained basis inverse (periodically
-refactorized), Dantzig pricing with partial pricing on wide problems, and a
-switch to Bland's rule after a degenerate streak as a second line of defense
-against cycling. The working RHS carries a tiny deterministic perturbation
-that removes primal degeneracy (the l1-gauge instances are extremely
-degenerate); the reported point and objective are recomputed from the exact
-RHS with the final optimal basis. Phase 1 uses artificial variables;
-redundant rows discovered there are eliminated before phase 2. An objective
-cutoff (as in branch and bound) ends phase 2 early, status "cutoff", at the
-first feasible basis no worse than it: the optimum is no larger. Every pivot
-choice and every reported float is a function of the inputs only: ties go to
-the lowest index, and the pivot loop's numpy calls are fixed, so identical
-inputs produce identical pivot paths and bytes. solve_lp is a pure function
-of its arguments and thread-safe.
+refactorized), Dantzig pricing over every column, and a switch to Bland's rule
+after a degenerate streak as a second line of defense against cycling. The
+working RHS carries a tiny deterministic perturbation that removes primal
+degeneracy (the l1-gauge instances are extremely degenerate); the reported
+point and objective are recomputed from the exact RHS with the final optimal
+basis. Phase 1 uses artificial variables; redundant rows discovered there are
+eliminated before phase 2. An objective cutoff (as in branch and bound) ends
+phase 2 early, status "cutoff", at the first feasible basis no worse than it:
+the optimum is no larger. Every pivot choice and every reported float is a
+function of the inputs only: ties go to the lowest index, and the pivot loop's
+numpy calls are fixed, so identical inputs produce identical pivot paths and
+bytes. solve_lp is a pure function of its arguments and thread-safe.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = ["LPProblem", "LPSolution", "solve_lp", "certify_basis", "dump_problem
 _PIV_TOL = 1e-9  # smallest acceptable pivot magnitude in the ratio test
 _DEGEN_STREAK = 30  # degenerate pivots tolerated before switching to Bland
 _REFACTOR_EVERY = 100  # pivots between basis-inverse refactorizations
-_PARTIAL_WIDTH = 1024  # price in blocks when the column count exceeds this
 _PERTURB = 1e-11  # relative RHS perturbation scale (removes primal degeneracy)
 _FEAS_TOL = 1e-9  # default primal feasibility tolerance, relative to 1 + max|b|
 _GAP_TOL = 1e-8  # default relative duality-gap tolerance
@@ -115,7 +113,6 @@ class _Simplex:
         self.pivots_since_refactor = 0
         self.degen_streak = 0
         self.bland = False
-        self.block_start = 0
         self.xb = self.binv @ self.b
 
     def refactor(self):
@@ -130,34 +127,16 @@ class _Simplex:
     def _price(self) -> int | None:
         """Entering column index, or None when optimal. Dantzig takes the first
         most negative reduced cost, Bland the first negative one."""
-        k = self.w.shape[1]
         y = self.binv.T @ self.c[self.basis]
-        if self.bland or k <= _PARTIAL_WIDTH:
-            r = self.c - self.w.T @ y
-            r[self.basis] = 0.0
-            if self.bland:
-                eligible = np.flatnonzero(r < -self.price_tol)
-                j = int(eligible[0]) if eligible.size else 0  # r[0] is not eligible
-            else:
-                j = int(r.argmin())
-            self.r_q = float(r[j])  # the entering reduced cost, read by run
-            return j if self.r_q < -self.price_tol else None
-        # partial pricing: fixed block grid scanned round-robin starting at the
-        # block that produced the previous entering column; a full cycle with
-        # no candidate certifies optimality
-        n_blocks = (k + _PARTIAL_WIDTH - 1) // _PARTIAL_WIDTH
-        first = self.block_start // _PARTIAL_WIDTH
-        for step in range(n_blocks):
-            lo = (first + step) % n_blocks * _PARTIAL_WIDTH
-            hi = min(lo + _PARTIAL_WIDTH, k)
-            r = self.c[lo:hi] - self.w[:, lo:hi].T @ y
-            r[self.basis[(self.basis >= lo) & (self.basis < hi)] - lo] = 0.0
+        r = self.c - self.w.T @ y
+        r[self.basis] = 0.0
+        if self.bland:
+            eligible = np.flatnonzero(r < -self.price_tol)
+            j = int(eligible[0]) if eligible.size else 0  # r[0] is not eligible
+        else:
             j = int(r.argmin())
-            self.r_q = float(r[j])
-            if self.r_q < -self.price_tol:
-                self.block_start = lo
-                return lo + j
-        return None
+        self.r_q = float(r[j])  # the entering reduced cost, read by run
+        return j if self.r_q < -self.price_tol else None
 
     def run(self, cutoff: float = -np.inf) -> str:
         # obj tracks c_B.x_B by one scalar update per pivot; recomputed before a cut

@@ -164,6 +164,8 @@ def gelfand_bracket(body: RandomQuotientBody, t, k: int, dual: bool = False,
 
 def _shift_scan(value_of: Callable[[float], float], window: float,
                 grid_points: int, extra: tuple[float, ...]) -> tuple[float, float, tuple]:
+    if grid_points < 2:
+        raise UsageError(f"shift search needs grid_points >= 2, got {grid_points}")
     lams = list(np.linspace(-window, window, grid_points))
     for lam in extra:
         if -window <= lam <= window and lam not in lams:
@@ -175,7 +177,7 @@ def _shift_scan(value_of: Callable[[float], float], window: float,
     best_shift, best_value = grid[i]
     # bracket by the regular spacing: an extra shift may sit a rounding error
     # away from a grid point, and its neighbour would collapse the bracket
-    span = 2.0 * window / max(grid_points - 1, 1)
+    span = 2.0 * window / (grid_points - 1)
     lo, hi = max(best_shift - span, -window), min(best_shift + span, window)
     gx, gv = golden_min(value_of, lo, hi)
     if gv < best_value:

@@ -346,6 +346,18 @@ class TestRadii:
         assert est.inradius_estimate == pytest.approx(
             gq.dual_norm(cross2, est.certificate_direction), abs=1e-10)
 
+    @pytest.mark.parametrize("n,big_n", [(2, 3), (2, 8), (2, 64), (2, 1000), (1, 5)])
+    def test_low_dimension_exact_from_hull(self, n, big_n):
+        body = gq.make_body(n, big_n, seed(61, big_n))
+        est = gq.radii(body)
+        assert est.inradius_estimate == gq.dual_norm(body, est.certificate_direction)
+        if n == 1:  # the segment [-R, R]: direction 1 and the largest |g_j|, bit for bit
+            assert est.certificate_direction.tobytes() == np.array([1.0]).tobytes()
+            assert est.inradius_estimate == float(np.max(np.abs(body.gamma)))
+        else:
+            hull_inradius = float(np.min(-body.hull.equations[:, -1]))
+            assert est.inradius_estimate == pytest.approx(hull_inradius, rel=1e-12)
+
     def test_cross_polytope_3d(self, cross3):
         est = gq.radii(cross3, seed=seed(48))
         assert est.inradius_estimate == pytest.approx(1.0 / np.sqrt(3.0), abs=2e-3)

@@ -95,6 +95,30 @@ def test_shiftsearch(body_file, tmp_path, capsys):
     assert "proxy_value 0" in out
 
 
+def _assert_usage_error_line(err: str):
+    # one message line after the config log line, never a traceback
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("genquot: usage error: ")
+
+
+@pytest.mark.parametrize("points", ["-1", "0", "1"])
+def test_shiftsearch_too_few_grid_points_exits_2(body_file, tmp_path, capsys, points):
+    mpath = tmp_path / "t.mtx"
+    gq.write_matrix(1.5 * np.eye(3), mpath)
+    assert main(["shiftsearch", "--body", str(body_file), "--matrix", str(mpath),
+                 "--grid-points", points]) == 2
+    _assert_usage_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [["verify", "hsbound", "--trials", "1"], ["calibrate"]])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exits_2(tmp_path, capsys, argv, threads):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--seed", "1", "--threads", threads, "--out", str(out)]) == 2
+    _assert_usage_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_radii_meanwidth_volume(body_file, capsys):
     assert main(["radii", "--body", str(body_file), "--seed", "7"]) == 0
     out = capsys.readouterr().out
