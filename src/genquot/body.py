@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IoError, NotInSpan, NumericError, UsageError
-from .linalg import as_matrix, as_vector, format_matrix, parse_matrix
+from .linalg import as_matrix, as_vector, format_matrix, parse_matrix, read_text, write_text
 from .linprog import (_DEGEN_STREAK, _PIV_TOL, _REFACTOR_EVERY, LPProblem, LPSolution,
                       _perturbed, certify_basis, solve_lp)
 from .sampler import HaarSubspace, SeedSpec, gaussian_matrix, generator
@@ -513,14 +513,14 @@ def radii(body: RandomQuotientBody, restarts: int = 64, seed: SeedSpec | None = 
     function over the sphere and report the best value found, an upper bound
     on the true inradius.
     """
+    if restarts < 1:
+        raise UsageError("restarts must be >= 1")
     if body.n <= 2:
         w = body.polar_vertices[np.argmax(np.linalg.norm(body.polar_vertices, axis=1))]
         u = w / np.linalg.norm(w)
         return RadiiEstimate(body.circumradius, dual_norm(body, u), u)
     if seed is None:
         raise UsageError("radii requires a SeedSpec for n >= 3 (stochastic restarts)")
-    if restarts < 1:
-        raise UsageError("restarts must be >= 1")
     val, u = _inradius_descent(body, restarts, seed)
     return RadiiEstimate(body.circumradius, val, u)
 
@@ -607,38 +607,26 @@ def format_body(body: RandomQuotientBody) -> str:
     return f"{_HEADER} {body.n} {body.N} {ms} {si}\n" + format_matrix(body.gamma)
 
 
-def parse_body(text: str) -> RandomQuotientBody:
+def parse_body(text: str, source="<string>") -> RandomQuotientBody:
     lines = text.splitlines()
     if not lines or not lines[0].startswith(_HEADER):
-        raise IoError("<string>", f"missing '{_HEADER}' header")
+        raise IoError(source, f"missing '{_HEADER}' header")
     tokens = lines[0].split()
     if len(tokens) != 6:
-        raise IoError("<string>", f"malformed body header {lines[0]!r}")
+        raise IoError(source, f"malformed body header {lines[0]!r}")
     try:
         n, big_n, ms, si = (int(t) for t in tokens[2:])
     except ValueError as exc:
-        raise IoError("<string>", f"non-integer body header field: {exc}") from exc
-    gamma = parse_matrix("\n".join(lines[1:]))
+        raise IoError(source, f"non-integer body header field: {exc}") from exc
+    gamma = parse_matrix("\n".join(lines[1:]), source)
     if gamma.shape != (n, big_n):
-        raise IoError("<string>", f"header says {n}x{big_n}, matrix is {gamma.shape}")
+        raise IoError(source, f"header says {n}x{big_n}, matrix is {gamma.shape}")
     return body_from_matrix(gamma, SeedSpec(ms, si))
 
 
 def save_body(body: RandomQuotientBody, path) -> None:
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(format_body(body))
-    except OSError as exc:
-        raise IoError(path, f"cannot write body: {exc}") from exc
+    write_text(path, format_body(body), "body")
 
 
 def load_body(path) -> RandomQuotientBody:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(path, f"cannot read body: {exc}") from exc
-    try:
-        return parse_body(text)
-    except IoError as exc:
-        raise IoError(path, exc.message) from exc
+    return parse_body(read_text(path, "body"), path)

@@ -42,7 +42,7 @@ from .experiments import (
     write_report,
     write_thresholds,
 )
-from .linalg import read_matrix
+from .linalg import read_matrix, read_text
 from .sampler import SeedSpec
 from .snumbers import euclidean_s_numbers, gelfand_bracket, min_over_shifts
 
@@ -187,13 +187,8 @@ def _apply_config_file(args: argparse.Namespace, subparser: argparse.ArgumentPar
                        argv: list[str]) -> None:
     if not getattr(args, "config", None):
         return
-    try:
-        with open(args.config, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(args.config, f"cannot read config file: {exc}") from exc
     entries: dict[str, str] = {}
-    for ln in lines:
+    for ln in read_text(args.config, "config file").splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue

@@ -29,7 +29,8 @@ import numpy as np
 
 from .body import RandomQuotientBody, body_norm, body_norm_many, max_gauge_in_span, section_distortion
 from .errors import ConditionFailed, IoError, UsageError
-from .linalg import check_orthonormal, format_matrix, orthonormalize, parse_matrix
+from .linalg import (check_orthonormal, format_matrix, json_field, orthonormalize, parse_matrix,
+                     read_json, write_text)
 from .sampler import HaarSubspace, SeedSpec, generator, haar_subspace
 
 __all__ = [
@@ -329,62 +330,42 @@ def save_witness(witness, path) -> None:
         }
     else:
         raise UsageError(f"unknown witness type {type(witness).__name__}")
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(path, f"cannot write witness: {exc}") from exc
-
-
-def _field(data, key: str, kind: type | tuple, path):
-    """data[key] if data is an object holding a value of type kind (bools are
-    not numbers); anything else is an IoError naming the file."""
-    value = data.get(key) if isinstance(data, dict) else None
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise IoError(path, f"witness field {key!r} is missing or ill-typed: {value!r}")
-    return value
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n", "witness")
 
 
 def load_witness(path):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(path, f"cannot read witness: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IoError(path, f"malformed witness JSON: {exc}") from exc
-    kind = _field(payload, "kind", str, path)
+    def field(data, key: str, kind: type | tuple):
+        return json_field(data, key, kind, path, "witness")
+
+    payload = read_json(path, "witness")
+    kind = field(payload, "kind", str)
     if kind not in ("l1", "l2"):
         raise IoError(path, f"unknown witness kind {kind!r}")
+    basis = parse_matrix(field(payload, "basis", str), path)
+    seed_data = field(payload, "seed", dict)
     try:
-        basis = parse_matrix(_field(payload, "basis", str, path))
-    except IoError as exc:
-        raise IoError(path, exc.message) from exc
-    seed_data = _field(payload, "seed", dict, path)
-    try:
-        seed = SeedSpec(_field(seed_data, "master_seed", int, path),
-                        _field(seed_data, "stream_index", int, path))
+        seed = SeedSpec(field(seed_data, "master_seed", int),
+                        field(seed_data, "stream_index", int))
     except UsageError as exc:
         raise IoError(path, str(exc)) from exc
-    consts = _field(payload, "constants", dict, path)
+    consts = field(payload, "constants", dict)
 
     def const(key: str):
-        return _field(consts, key, (int, float), path)
+        return field(consts, key, (int, float))
 
     if kind == "l1":
-        indices = _field(payload, "indices", list, path)
+        indices = field(payload, "indices", list)
         if not all(isinstance(j, int) and not isinstance(j, bool) for j in indices):
             raise IoError(path, f"witness indices must be integers, got {indices!r}")
         return L1Witness(index_set=tuple(indices), basis=basis,
                          sigma_min=const("sigma_min"), max_leak=const("max_leak"),
                          iso_constant=const("iso_constant"),
                          compl_constant=const("compl_constant"), seed=seed,
-                         iso_samples=(_field(consts, "iso_samples", int, path)
+                         iso_samples=(field(consts, "iso_samples", int)
                                       if "iso_samples" in consts else _ISO_SAMPLES))
     sub = HaarSubspace(ambient_dim=basis.shape[0], dim=basis.shape[1], basis=basis)
     return L2Witness(subspace=sub, distortion=const("distortion"),
                      max_gauge=const("max_gauge"), min_gauge=const("min_gauge"),
                      compl_constant=const("compl_constant"),
                      proj_image_radius=const("proj_image_radius"), seed=seed,
-                     section_samples=_field(consts, "section_samples", int, path))
+                     section_samples=field(consts, "section_samples", int))

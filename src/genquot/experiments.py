@@ -42,6 +42,7 @@ from .body import (VOLUME_DIM_CAP, make_body, mean_width, operator_norm, radii,
                    section_distortion, volume_ratio)
 from .constructions import find_l1_subspace, find_l2_subspace, verify_witness
 from .errors import ConditionFailed, FitError, IoError, NumericError, UsageError
+from .linalg import json_field, read_json, write_text
 from .sampler import SeedSpec, gaussian_matrix, haar_subspace
 from .snumbers import gelfand_sum_bracket, hs_of_normalized, min_over_shifts, mn_witness_check
 
@@ -540,7 +541,7 @@ def _thm22_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> di
     t_op = _operator_for_trial(n, t, cfg.trials, sd.child(1))
     q = operator_norm(body, t_op)
     est = radii(body, seed=sd.child(2))
-    res = min_over_shifts(body, t_op, k=n // 2, opnorm=q, rad=est, cert_samples=0)
+    res = min_over_shifts(body, t_op, k=n // 2, opnorm=q, rad=est)
     denom = q / math.sqrt(n)
     return {
         "cell": _cell_label(cell), "n": n, "N": big_n, "trial": t,
@@ -569,7 +570,7 @@ def _thm22_summary(cfg: SuiteConfig, records: list[dict]) -> tuple[dict, dict, b
         # a check that cannot run (None) fails like any trial error
         try:
             body = make_body(n, big_n, _seed(cfg, ci, 0))
-            res = min_over_shifts(body, 1.5 * np.eye(n), k=n // 2, opnorm=1.5, cert_samples=0)
+            res = min_over_shifts(body, 1.5 * np.eye(n), k=n // 2, opnorm=1.5)
             ratio = res.best_value / (1.5 / math.sqrt(n))
         except NumericError:
             ratio = None
@@ -833,11 +834,7 @@ def write_report(report: SuiteReport, fmt: str, path) -> None:
         text = "\n".join(lines) + "\n"
     else:
         raise UsageError(f"unknown report format {fmt!r} (json or csv)")
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(path, f"cannot write report: {exc}") from exc
+    write_text(path, text, "report")
 
 
 def _csv_cell(value) -> str:
@@ -851,19 +848,19 @@ def _csv_cell(value) -> str:
 
 
 def read_report(path) -> SuiteReport:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(path, f"cannot read report: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IoError(path, f"malformed report JSON: {exc}") from exc
-    if payload.get("schema") != REPORT_SCHEMA:
-        raise IoError(path, f"unexpected schema {payload.get('schema')!r}")
-    return SuiteReport(suite_id=payload["suite"], config=payload["config"],
-                       trials=payload["trials"], aggregate=payload["aggregate"],
-                       fitted=payload["fitted"], passed=payload["pass"],
-                       artifact_version=payload["artifact_version"])
+    def field(key: str, kind: type):
+        return json_field(payload, key, kind, path, "report")
+
+    payload = read_json(path, "report")
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != REPORT_SCHEMA:
+        raise IoError(path, f"unexpected schema {schema!r}")
+    if not isinstance(payload.get("pass"), bool):
+        raise IoError(path, f"report field 'pass' must be true or false: {payload.get('pass')!r}")
+    return SuiteReport(suite_id=field("suite", str), config=field("config", dict),
+                       trials=field("trials", list), aggregate=field("aggregate", dict),
+                       fitted=field("fitted", dict), passed=payload["pass"],
+                       artifact_version=field("artifact_version", str))
 
 
 # ---------------------------------------------------------------------------
@@ -894,22 +891,12 @@ def calibrate(master_seed: int, threads: int = 1, trials: int | None = None,
 
 
 def write_thresholds(thresholds: dict[str, float], path) -> None:
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(_dump_json(thresholds))
-    except OSError as exc:
-        raise IoError(path, f"cannot write thresholds: {exc}") from exc
+    write_text(path, _dump_json(thresholds), "thresholds")
 
 
 def read_thresholds(path) -> dict[str, float]:
     """Load a thresholds file: a JSON object mapping known keys to numbers."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            data = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(path, f"cannot read thresholds: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IoError(path, f"malformed thresholds JSON: {exc}") from exc
+    data = read_json(path, "thresholds")
     if not isinstance(data, dict):
         raise IoError(path, f"thresholds must be a JSON object, got {type(data).__name__}")
     for key, value in data.items():

@@ -5,11 +5,14 @@ Everything operates on plain float64 numpy arrays (matrices are 2-d,
 column-oriented where a basis is meant). The text serialization here is the
 repo-wide matrix exchange format: a "rows cols" header line followed by one
 line per row with entries printed to 17 significant digits, which round-trips
-float64 exactly.
+float64 exactly. Every genquot file (body, matrix, LP dump, witness, report,
+thresholds, config) is ASCII text read and written through read_text and
+write_text, so a file that cannot be opened or decoded is an IoError naming it.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -170,7 +173,7 @@ def orth_project(basis: np.ndarray, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Matrix text format (repo-wide exchange format)
+# Text files and the matrix text format (repo-wide exchange format)
 # ---------------------------------------------------------------------------
 
 
@@ -186,43 +189,64 @@ def format_matrix(m) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(text: str) -> np.ndarray:
+def parse_matrix(text: str, source="<string>") -> np.ndarray:
+    """Parse the matrix text format; errors are IoErrors naming source."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
-        raise IoError("<string>", "empty matrix text")
+        raise IoError(source, "empty matrix text")
     try:
         rows, cols = (int(tok) for tok in lines[0].split())
     except ValueError as exc:
-        raise IoError("<string>", f"bad matrix header {lines[0]!r}") from exc
+        raise IoError(source, f"bad matrix header {lines[0]!r}") from exc
     if len(lines) - 1 != rows:
-        raise IoError("<string>", f"expected {rows} data lines, found {len(lines) - 1}")
+        raise IoError(source, f"expected {rows} data lines, found {len(lines) - 1}")
     data = np.empty((rows, cols))
     for i, ln in enumerate(lines[1:]):
         vals = ln.split()
         if len(vals) != cols:
-            raise IoError("<string>", f"row {i} has {len(vals)} entries, expected {cols}")
+            raise IoError(source, f"row {i} has {len(vals)} entries, expected {cols}")
         try:
             data[i] = [float(v) for v in vals]
         except ValueError as exc:
-            raise IoError("<string>", f"row {i} has a non-numeric entry: {exc}") from exc
+            raise IoError(source, f"row {i} has a non-numeric entry: {exc}") from exc
     return as_matrix(data, "parsed matrix")
 
 
 def write_matrix(m, path) -> None:
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(format_matrix(m))
-    except OSError as exc:
-        raise IoError(path, f"cannot write matrix: {exc}") from exc
+    write_text(path, format_matrix(m), "matrix")
 
 
 def read_matrix(path) -> np.ndarray:
+    return parse_matrix(read_text(path, "matrix"), path)
+
+
+def read_text(path, what: str) -> str:
     try:
         with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(path, f"cannot read matrix: {exc}") from exc
+        raise IoError(path, f"cannot read {what}: {exc}") from exc
+
+
+def write_text(path, text: str, what: str) -> None:
     try:
-        return parse_matrix(text)
-    except IoError as exc:
-        raise IoError(path, exc.message) from exc
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoError(path, f"cannot write {what}: {exc}") from exc
+
+
+def read_json(path, what: str):
+    try:
+        return json.loads(read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise IoError(path, f"malformed {what} JSON: {exc}") from exc
+
+
+def json_field(data, key: str, kind: type | tuple, path, what: str):
+    """data[key] if data is an object holding a value of type kind (bools are
+    not numbers); anything else is an IoError naming the file."""
+    value = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise IoError(path, f"{what} field {key!r} is missing or ill-typed: {value!r}")
+    return value

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IoError, NumericError, SolverStall, UsageError
-from .linalg import as_matrix, as_vector, format_matrix, parse_matrix
+from .linalg import as_matrix, as_vector, format_matrix, parse_matrix, read_text, write_text
 
 __all__ = ["LPProblem", "LPSolution", "solve_lp", "certify_basis", "dump_problem", "load_problem"]
 
@@ -349,24 +349,14 @@ def dump_problem(p: LPProblem, path) -> None:
     """Debugging dump: constraint matrix in the matrix text format followed by
     one-line rhs and objective records."""
     fmt = lambda v: " ".join(format(x, ".17g") for x in v)  # noqa: E731
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(format_matrix(p.constraint_matrix))
-            fh.write(f"rhs {fmt(p.rhs)}\n")
-            fh.write(f"objective {fmt(p.objective)}\n")
-    except OSError as exc:
-        raise IoError(path, f"cannot write LP dump: {exc}") from exc
+    write_text(path, f"{format_matrix(p.constraint_matrix)}rhs {fmt(p.rhs)}\n"
+                     f"objective {fmt(p.objective)}\n", "LP dump")
 
 
 def load_problem(path) -> LPProblem:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(path, f"cannot read LP dump: {exc}") from exc
     records = {}
     matrix_lines = []
-    for ln in lines:
+    for ln in read_text(path, "LP dump").splitlines():
         head = ln.split(" ", 1)[0]
         if head in ("rhs", "objective"):
             try:
@@ -377,8 +367,8 @@ def load_problem(path) -> LPProblem:
             matrix_lines.append(ln)
     if set(records) != {"rhs", "objective"}:
         raise IoError(path, "LP dump must contain rhs and objective records")
+    a = parse_matrix("\n".join(matrix_lines), path)
     try:
-        a = parse_matrix("\n".join(matrix_lines))
-    except IoError as exc:
-        raise IoError(path, exc.message) from exc
-    return LPProblem(constraint_matrix=a, rhs=records["rhs"], objective=records["objective"])
+        return LPProblem(constraint_matrix=a, rhs=records["rhs"], objective=records["objective"])
+    except UsageError as exc:
+        raise IoError(path, str(exc)) from exc

@@ -186,14 +186,15 @@ def _shift_scan(value_of: Callable[[float], float], window: float,
 
 
 def min_over_shifts(body: RandomQuotientBody, t, k: int, grid_points: int = 201,
-                    opnorm: float | None = None, rad: RadiiEstimate | None = None,
-                    cert_samples: int = _CERT_SAMPLES) -> ShiftSearchResult:
+                    opnorm: float | None = None,
+                    rad: RadiiEstimate | None = None) -> ShiftSearchResult:
     """Minimize the Euclidean proxy s_k(T - lambda*Id) over a shift window.
 
     The window is [-2 ||T||_X, +2 ||T||_X]; the grid always contains 0 and the
     trace mean tr(T)/n (exact minimizer for multiples of the identity), and is
     refined by golden section around the best grid point. The returned value
-    is an upper bound on the infimum over all real shifts.
+    is an upper bound on the infimum over all real shifts. The bracket at the
+    best shift carries no sampled certificate (upper_certificate is None).
     """
     tm = as_matrix(t, "T")
     if tm.shape != (body.n, body.n):
@@ -211,8 +212,7 @@ def min_over_shifts(body: RandomQuotientBody, t, k: int, grid_points: int = 201,
     trace_mean = float(np.trace(tm)) / body.n
     best_shift, best_value, grid = _shift_scan(value_of, 2.0 * q, grid_points,
                                                (0.0, trace_mean))
-    bracket = gelfand_bracket(body, tm - best_shift * eye, k, rad=rad,
-                              cert_samples=cert_samples)
+    bracket = gelfand_bracket(body, tm - best_shift * eye, k, rad=rad, cert_samples=0)
     return ShiftSearchResult(best_shift=best_shift, best_value=best_value,
                              bracket_at_best=bracket, grid=grid)
 

@@ -130,6 +130,14 @@ def test_radii_meanwidth_volume(body_file, capsys):
     assert capsys.readouterr().out == f"volume_ratio_per_dim {ratio:.12g}\n"
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_radii_zero_restarts_exits_2(tmp_path, capsys, n):
+    path = tmp_path / "body.mtx"
+    assert main(["sample", "--n", str(n), "--N", "8", "--seed", "3", "--out", str(path)]) == 0
+    assert main(["radii", "--body", str(path), "--seed", "7", "--restarts", "0"]) == 2
+    _assert_usage_error_line(capsys.readouterr().err)
+
+
 def test_volume_has_no_sampling_flags(body_file, capsys):
     # the volume is exact: the sampler's flags are gone and argparse rejects them
     assert main(["volume", "--body", str(body_file), "--samples", "10000", "--seed", "7"]) == 2
@@ -238,6 +246,25 @@ def test_non_ascii_input_file_exits_2(tmp_path, capsys, name, content, argv):
 def test_loaders_refuse_non_ascii_bytes(tmp_path, loader):
     path = tmp_path / "input"
     path.write_bytes(b"0." + _NON_ASCII + b"\n")
+    with pytest.raises(gq.IoError) as info:
+        loader(path)
+    assert info.value.path == str(path)
+
+
+_SCHEMA = f'"schema": "{gq.REPORT_SCHEMA}"'
+
+
+@pytest.mark.parametrize("loader,text", [
+    (gq.read_report, "[1, 2]"),  # not an object
+    (gq.read_report, "{" + _SCHEMA + "}"),  # no fields past the schema
+    (gq.read_report, "{" + _SCHEMA + ', "pass": "yes"}'),  # pass must be a bool
+    (gq.read_report, "{" + _SCHEMA + ', "pass": true, "suite": 3, "config": {}, "trials": [],'
+                     ' "aggregate": {}, "fitted": {}, "artifact_version": "1.0.0"}'),
+    (gq.load_problem, "2 2\n1 0\n0 1\nrhs 1 2 3\nobjective 1 1\n"),  # rhs too long
+])
+def test_loaders_name_the_file_for_malformed_content(tmp_path, loader, text):
+    path = tmp_path / "input"
+    path.write_text(text)
     with pytest.raises(gq.IoError) as info:
         loader(path)
     assert info.value.path == str(path)

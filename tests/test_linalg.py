@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genquot as gq
+from genquot.body import parse_body
 from genquot.linalg import as_matrix, format_matrix, parse_matrix
 
 
@@ -140,8 +144,17 @@ class TestMatrixText:
         assert gq.read_matrix(path).tobytes() == m.tobytes()
 
     def test_bad_header(self):
-        with pytest.raises(gq.IoError):
+        with pytest.raises(gq.IoError) as info:
             parse_matrix("not a header\n1 2\n")
+        assert info.value.path == "<string>"
+
+    def test_errors_name_the_source(self):
+        with pytest.raises(gq.IoError) as info:
+            parse_matrix("1 2\n3 x\n", "m.mtx")
+        assert info.value.path == "m.mtx" and info.value.message.startswith("row 0 ")
+        with pytest.raises(gq.IoError) as info:
+            parse_body("GENQUOT-BODY v1 2 3 0 0\n1 1\n1\n", "b.mtx")
+        assert info.value.path == "b.mtx"
 
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(gq.IoError):
@@ -151,3 +164,15 @@ class TestMatrixText:
 def test_as_matrix_rejects_bad_shapes():
     with pytest.raises(gq.UsageError):
         as_matrix(np.zeros(3))
+
+
+def test_only_linalg_opens_files():
+    # every file read or write goes through linalg.read_text / write_text, so
+    # the encoding and the IoError naming the file are decided in one place
+    openers = []
+    for path in sorted(Path(gq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (path.name != "linalg.py" and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == "open"):
+                openers.append(f"{path.name}:{node.lineno}")
+    assert openers == []

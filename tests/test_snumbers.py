@@ -110,7 +110,7 @@ class TestGelfandBracket:
 class TestMinOverShifts:
     def test_identity_multiple_exact_zero(self):
         body = gq.make_body(4, 8, seed(78))
-        res = gq.min_over_shifts(body, 5.0 * np.eye(4), k=2, opnorm=5.0, cert_samples=0)
+        res = gq.min_over_shifts(body, 5.0 * np.eye(4), k=2, opnorm=5.0)
         assert res.best_value == 0.0
         assert res.best_shift == 5.0
         assert res.bracket_at_best.upper == 0.0
@@ -118,21 +118,21 @@ class TestMinOverShifts:
     def test_two_eigenvalue_closed_form(self):
         body = gq.make_body(4, 12, seed(79))
         t = np.diag([1.0, 1.0, 0.0, 0.0])
-        res = gq.min_over_shifts(body, t, k=2, cert_samples=0)
+        res = gq.min_over_shifts(body, t, k=2)
         assert res.best_value == pytest.approx(0.5, abs=1e-6)
         assert res.best_shift == pytest.approx(0.5, abs=1e-6)
 
     def test_skew_normal_closed_form(self):
         body = gq.make_body(2, 6, seed(80))
         t = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        res = gq.min_over_shifts(body, t, k=1, cert_samples=0)
+        res = gq.min_over_shifts(body, t, k=1)
         assert res.best_value == pytest.approx(1.0, abs=1e-9)
         assert abs(res.best_shift) <= 0.05
 
     def test_dominates_unshifted(self):
         body = gq.make_body(4, 9, seed(81))
         t = gq.gaussian_matrix(4, 4, 1.0, seed(81, 1))
-        res = gq.min_over_shifts(body, t, k=2, cert_samples=0)
+        res = gq.min_over_shifts(body, t, k=2)
         s = gq.euclidean_s_numbers(t)
         assert res.best_value <= s[1] + 1e-12  # grid contains lambda = 0
 
@@ -140,9 +140,9 @@ class TestMinOverShifts:
         body = gq.make_body(4, 9, seed(82))
         t = gq.gaussian_matrix(4, 4, 1.0, seed(82, 1))
         rad = gq.radii(body, seed=seed(82, 2))
-        base = gq.min_over_shifts(body, t, k=2, rad=rad, cert_samples=0)
+        base = gq.min_over_shifts(body, t, k=2, rad=rad)
         mu = 0.8
-        shifted = gq.min_over_shifts(body, t + mu * np.eye(4), k=2, rad=rad, cert_samples=0)
+        shifted = gq.min_over_shifts(body, t + mu * np.eye(4), k=2, rad=rad)
         grid_step = (base.grid[-1][0] - base.grid[0][0]) / (len(base.grid) - 1)
         assert abs(shifted.best_shift - (base.best_shift + mu)) <= 2 * grid_step + 1e-9
         assert shifted.bracket_at_best.lower == pytest.approx(base.bracket_at_best.lower, abs=1e-9)
