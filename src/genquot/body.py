@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import IoError, NotInSpan, NumericError, UsageError
 from .linalg import as_matrix, as_vector, format_matrix, parse_matrix, read_text, write_text
-from .linprog import (_DEGEN_STREAK, _PIV_TOL, _REFACTOR_EVERY, LPProblem, LPSolution,
-                      _perturbed, certify_basis, solve_lp)
+from .linprog import (_DEGEN_STREAK, _ITER_CAP, _PIV_TOL, _REFACTOR_EVERY, LPProblem,
+                      LPSolution, _perturbed, certify_basis, solve_lp)
 from .sampler import HaarSubspace, SeedSpec, gaussian_matrix, generator
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "mean_width",
     "volume_ratio",
     "section_distortion",
+    "max_gauge_in_span",
     "format_body",
     "parse_body",
     "save_body",
@@ -323,7 +324,7 @@ def _lockstep_gauges(body: RandomQuotientBody, pts: np.ndarray) -> np.ndarray:
     streak = np.zeros(rows.size, dtype=np.int64)
     optimal: list[tuple[int, np.ndarray]] = []
     ones_n = np.ones(n)
-    for pivot in range(1, 50 * (n + 2 * big_n) + 1):  # solve_lp's iteration cap
+    for pivot in range(1, _ITER_CAP * (n + 2 * big_n) + 1):  # solve_lp's iteration cap
         if rows.size == 0:
             break
         live = np.arange(rows.size)

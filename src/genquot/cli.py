@@ -60,9 +60,12 @@ def _parse_seed(text: str) -> int:
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+        vec = np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad vector {text!r}: use comma-separated numbers") from exc
+    if not np.all(np.isfinite(vec)):
+        raise argparse.ArgumentTypeError(f"bad vector {text!r}: entries must be finite")
+    return vec
 
 
 def _default_threads() -> int:
@@ -133,7 +136,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = add("shiftsearch", help="minimize the s-number proxy over shifts T - lambda*Id")
     p.add_argument("--body", required=True)
     p.add_argument("--matrix", required=True)
-    p.add_argument("--k", type=int, default=0, help="s-number index; default n/2")
+    p.add_argument("--k", type=int, help="s-number index; default n/2")
     p.add_argument("--grid-points", type=int, default=201)
 
     p = add("construct", help="find a well-complemented l1^k or l2^h subspace")
@@ -297,7 +300,7 @@ def _cmd_snumbers(args) -> int:
 def _cmd_shiftsearch(args) -> int:
     body = load_body(args.body)
     t = read_matrix(args.matrix)
-    k = args.k or max(1, body.n // 2)
+    k = max(1, body.n // 2) if args.k is None else args.k
     res = min_over_shifts(body, t, k, grid_points=args.grid_points)
     br = res.bracket_at_best
     print(f"best_shift {res.best_shift:.12g}")

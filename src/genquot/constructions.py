@@ -209,7 +209,6 @@ def _measure_l1(body: RandomQuotientBody, a: np.ndarray, stream: SeedSpec, iso_s
 
 def find_l2_subspace(body: RandomQuotientBody, h: int | None = None,
                      seed: SeedSpec | None = None, c_cal: float = DEFAULT_C_CAL,
-                     section_samples: int = _SECTION_SAMPLES,
                      relax_alpha: float | None = None) -> L2Witness:
     """Measure a Haar-random h-dimensional section as a candidate l2^h copy.
 
@@ -218,6 +217,8 @@ def find_l2_subspace(body: RandomQuotientBody, h: int | None = None,
     """
     if seed is None:
         raise UsageError("find_l2_subspace requires a SeedSpec")
+    if relax_alpha is not None and not relax_alpha > 0:
+        raise UsageError(f"relax_alpha must be > 0, got {relax_alpha}")
     n, big_n = body.n, body.N
     if big_n < n * n:
         if relax_alpha is None:
@@ -238,7 +239,7 @@ def find_l2_subspace(body: RandomQuotientBody, h: int | None = None,
         h = auto_l2_dim(n, big_n, c_cal)
     if not 1 <= h <= n:
         raise UsageError(f"need 1 <= h <= n={n}, got h={h}")
-    return _measure_l2(body, haar_subspace(n, h, seed), seed, section_samples)
+    return _measure_l2(body, haar_subspace(n, h, seed), seed, _SECTION_SAMPLES)
 
 
 def _measure_l2(body: RandomQuotientBody, sub: HaarSubspace, seed: SeedSpec,

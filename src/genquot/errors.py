@@ -8,6 +8,9 @@ exception raised in a suite worker process reaches the parent unchanged.
 
 from __future__ import annotations
 
+__all__ = ["GenquotError", "UsageError", "NumericError", "SolverStall", "NotInSpan",
+           "ConditionFailed", "FitError", "IoError"]
+
 
 class GenquotError(Exception):
     """Base class for all package errors."""

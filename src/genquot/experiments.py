@@ -65,6 +65,7 @@ __all__ = [
 _STRIDE_CELL = 1 << 32
 _STRIDE_TRIAL = 1 << 16
 _VOLUME_TRIALS = 20  # lemmaD trials per volume cell (the report echoes it)
+_CALIBRATION_MARGIN = 1.5  # calibrate: thresholds are this multiple of the observed maxima
 
 # Built-in acceptance thresholds; entries marked "calibrated" are meant to be
 # overridden by a frozen thresholds file produced by `calibrate`.
@@ -109,6 +110,8 @@ class SuiteConfig:
         if self.trials < 1:
             raise UsageError("trials must be >= 1")
         object.__setattr__(self, "size_grid", tuple(tuple(int(v) for v in c) for c in self.size_grid))
+        if not self.size_grid:
+            raise UsageError("size_grid needs at least one cell")
 
     def threshold(self, key: str) -> float:
         if key in self.thresholds:
@@ -868,25 +871,24 @@ def read_report(path) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def calibrate(master_seed: int, threads: int = 1, trials: int | None = None,
-              margin: float = 1.5) -> dict[str, float]:
+def calibrate(master_seed: int, threads: int = 1, trials: int | None = None) -> dict[str, float]:
     """Fit the construction thresholds on a calibration run and return the
     frozen thresholds map (write it with `write_thresholds`).
 
-    The margin multiplies observed maxima so an independent verification run
-    at different seeds stays below threshold with high probability.
+    _CALIBRATION_MARGIN multiplies observed maxima so an independent verification
+    run at different seeds stays below threshold with high probability.
     """
     permissive = {k: 1e30 for k in _CALIBRATED_KEYS}
     out = dict(DEFAULT_THRESHOLDS)
     r41 = run_suite(default_config("prop41", master_seed, trials=trials,
                                    thresholds=permissive), threads)
-    out["l1_iso_max"] = margin * r41.fitted["iso_max"]
-    out["l1_compl_max"] = margin * r41.fitted["compl_max"]
+    out["l1_iso_max"] = _CALIBRATION_MARGIN * r41.fitted["iso_max"]
+    out["l1_compl_max"] = _CALIBRATION_MARGIN * r41.fitted["compl_max"]
     r42 = run_suite(default_config("prop42", master_seed, trials=trials,
                                    thresholds=permissive), threads)
-    out["l2_distortion_max"] = margin * r42.fitted["distortion_max"]
-    out["l2_compl_max"] = margin * r42.fitted["compl_max"]
-    out["C1_rzut"] = margin * r42.fitted["C1_rzut"]
+    out["l2_distortion_max"] = _CALIBRATION_MARGIN * r42.fitted["distortion_max"]
+    out["l2_compl_max"] = _CALIBRATION_MARGIN * r42.fitted["compl_max"]
+    out["C1_rzut"] = _CALIBRATION_MARGIN * r42.fitted["C1_rzut"]
     return out
 
 

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 DEFAULT_DROP_TOL = 1e-10
+_ORTHO_TOL = 1e-10  # check_orthonormal: largest |B^T B - I| entry accepted
 
 
 def golden_min(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -155,11 +156,11 @@ def orthonormalize(vectors: Sequence, tol: float = DEFAULT_DROP_TOL) -> OrthoRes
     return OrthoResult(basis=q, dropped=dropped)
 
 
-def check_orthonormal(basis: np.ndarray, tol: float = 1e-10, name: str = "basis") -> np.ndarray:
+def check_orthonormal(basis: np.ndarray, name: str = "basis") -> np.ndarray:
     b = as_matrix(basis, name)
     gram = b.T @ b
-    if gram.shape[0] and np.max(np.abs(gram - np.eye(gram.shape[0]))) > tol:
-        raise UsageError(f"{name} columns are not orthonormal to {tol:g}")
+    if gram.shape[0] and np.max(np.abs(gram - np.eye(gram.shape[0]))) > _ORTHO_TOL:
+        raise UsageError(f"{name} columns are not orthonormal to {_ORTHO_TOL:g}")
     return b
 
 
@@ -205,11 +206,20 @@ def parse_matrix(text: str, source="<string>") -> np.ndarray:
         vals = ln.split()
         if len(vals) != cols:
             raise IoError(source, f"row {i} has {len(vals)} entries, expected {cols}")
-        try:
-            data[i] = [float(v) for v in vals]
-        except ValueError as exc:
-            raise IoError(source, f"row {i} has a non-numeric entry: {exc}") from exc
+        data[i] = parse_floats(vals, source, f"row {i}")
     return as_matrix(data, "parsed matrix")
+
+
+def parse_floats(tokens: list[str], source, what: str) -> np.ndarray:
+    """The tokens as finite floats, else an IoError naming source and `what`."""
+    try:
+        vals = np.array([float(t) for t in tokens])
+    except ValueError as exc:
+        raise IoError(source, f"{what} has a non-numeric entry: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise IoError(source, f"{what} has a non-finite entry {tokens[bad[0]]!r}")
+    return vals
 
 
 def write_matrix(m, path) -> None:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IoError, NumericError, SolverStall, UsageError
-from .linalg import as_matrix, as_vector, format_matrix, parse_matrix, read_text, write_text
+from .linalg import (as_matrix, as_vector, format_matrix, parse_floats, parse_matrix, read_text,
+                     write_text)
 
 __all__ = ["LPProblem", "LPSolution", "solve_lp", "certify_basis", "dump_problem", "load_problem"]
 
@@ -30,8 +31,9 @@ _PIV_TOL = 1e-9  # smallest acceptable pivot magnitude in the ratio test
 _DEGEN_STREAK = 30  # degenerate pivots tolerated before switching to Bland
 _REFACTOR_EVERY = 100  # pivots between basis-inverse refactorizations
 _PERTURB = 1e-11  # relative RHS perturbation scale (removes primal degeneracy)
-_FEAS_TOL = 1e-9  # default primal feasibility tolerance, relative to 1 + max|b|
-_GAP_TOL = 1e-8  # default relative duality-gap tolerance
+_FEAS_TOL = 1e-9  # primal feasibility tolerance, relative to 1 + max|b|
+_GAP_TOL = 1e-8  # relative duality-gap tolerance
+_ITER_CAP = 50  # a solve of an m x v LP may take _ITER_CAP * (m + v) pivots
 
 
 def _perturbed(b: np.ndarray) -> np.ndarray:
@@ -77,8 +79,8 @@ class LPProblem:
 class LPSolution:
     """Solver verdict with optimality certificates.
 
-    For status "optimal": point is primal feasible to feas_tol and the
-    duality gap against dual_point is below gap_tol. For "infeasible",
+    For status "optimal": point is primal feasible to _FEAS_TOL and the
+    duality gap against dual_point is below _GAP_TOL. For "infeasible",
     dual_point carries a Farkas certificate (y.b > 0, A^T y <~ 0). For
     "cutoff", basis is primal feasible with objective <= the cutoff, an upper
     bound on the optimum; there is no point, dual or objective.
@@ -92,15 +94,12 @@ class LPSolution:
     basis: np.ndarray | None = None  # optimal or cutoff basis labels, reusable as a warm start
 
 
-class _Stall(Exception):
-    pass
-
-
 class _Simplex:
-    """One simplex run over working columns W with a starting basis."""
+    """One simplex run over working columns W with a starting basis; raises
+    SolverStall, naming the phase, after max_iter pricing steps."""
 
     def __init__(self, w: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
-                 binv: np.ndarray, max_iter: int, price_tol: float):
+                 binv: np.ndarray, max_iter: int, price_tol: float, phase: str = ""):
         self.w = w
         self.wt = np.ascontiguousarray(w.T)  # entering columns as contiguous rows
         self.b = b
@@ -109,6 +108,7 @@ class _Simplex:
         self.binv = binv
         self.max_iter = max_iter
         self.price_tol = price_tol
+        self.phase = phase
         self.iterations = 0
         self.pivots_since_refactor = 0
         self.degen_streak = 0
@@ -148,7 +148,7 @@ class _Simplex:
                 if obj <= cutoff:
                     return "cutoff"
             if self.iterations >= self.max_iter:
-                raise _Stall()
+                raise SolverStall(f"{self.phase}iteration cap {self.max_iter} exceeded")
             self.iterations += 1
             entering = self._price()
             if entering is None:
@@ -182,9 +182,7 @@ class _Simplex:
                 self.refactor()
 
 
-def solve_lp(p: LPProblem, feas_tol: float = _FEAS_TOL, gap_tol: float = _GAP_TOL,
-             max_iter: int | None = None,
-             start_basis: np.ndarray | None = None,
+def solve_lp(p: LPProblem, start_basis: np.ndarray | None = None,
              cutoff: float | None = None) -> LPSolution:
     """Solve an equality-form LP to proven optimality or a status certificate.
 
@@ -196,81 +194,77 @@ def solve_lp(p: LPProblem, feas_tol: float = _FEAS_TOL, gap_tol: float = _GAP_TO
     feasible basis (of the perturbed RHS) whose objective is at most cutoff.
     Phase 1 ignores it; without it, phase 2 pivots to the end.
 
-    Raises SolverStall when the iteration cap (default 50*(m+v)) is exceeded
+    Raises SolverStall when the iteration cap _ITER_CAP*(m+v) is exceeded
     and NumericError on non-finite data or a numerically broken basis.
     """
     a, b, c = p.constraint_matrix, p.rhs, p.objective
     m, v = a.shape
     if v == 0:
         raise UsageError("LP needs at least one variable")
-    if max_iter is None:
-        max_iter = 50 * (m + v)
     if m == 0:
         if np.any(c < 0):
             return LPSolution(status="unbounded")
         return LPSolution(status="optimal", point=np.zeros(v), objective_value=0.0,
                           dual_point=np.zeros(0))
-
+    max_iter = _ITER_CAP * (m + v)
     sign, a1, b1, bscale = _oriented(a, b)
     b1p = _perturbed(b1)
-    price_tol = 1e-9 * (1.0 + float(np.max(np.abs(c))))
 
-    if start_basis is not None:
-        warm = _warm_basis(a1, b1p, np.asarray(start_basis, dtype=int), m, v)
-        if warm is not None:
-            return _phase2(a, a1, b, b1, b1p, sign, c, warm[0], warm[1], 0, np.arange(m),
-                           max_iter, price_tol, feas_tol, gap_tol, bscale, cutoff)
-
-    # phase 1: minimize the sum of artificial variables
-    w1 = np.hstack([a1, np.eye(m)])
-    c1 = np.concatenate([np.zeros(v), np.ones(m)])
-    basis = np.arange(v, v + m)
-    sim = _Simplex(w1, b1p, c1, basis, np.eye(m), max_iter, 1e-9)
-    try:
-        status = sim.run()
-    except _Stall as exc:
-        raise SolverStall(f"phase-1 iteration cap {max_iter} exceeded") from exc
-    if status != "optimal":  # pragma: no cover - phase-1 objective is bounded below
-        raise NumericError("phase-1 simplex reported unbounded")
-    sim.refactor()
-    xb = np.maximum(sim.binv @ b1, 0.0)
-    obj1 = float(c1[sim.basis] @ xb)
-    if obj1 > feas_tol * bscale:
-        y = sim.binv.T @ c1[sim.basis]
-        return LPSolution(status="infeasible", dual_point=sign * y, iterations=sim.iterations)
-
-    # pivot artificials out of the basis; rows with no eligible pivot are redundant
-    redundant: list[int] = []
-    for pos in range(m):
-        if sim.basis[pos] < v:
-            continue
-        row = sim.binv[pos] @ a1
-        row[sim.basis[sim.basis < v]] = 0.0
-        candidates = np.flatnonzero(np.abs(row) > 1e-7)
-        if candidates.size:
-            entering = int(candidates[0])
-            d = sim.binv @ w1[:, entering]
-            piv = d[pos]
-            r = sim.binv[pos] / piv
-            sim.binv -= np.outer(d, r)
-            sim.binv[pos] = r
-            sim.basis[pos] = entering
-        else:
-            redundant.append(pos)
+    warm = None if start_basis is None else _warm_basis(
+        a1, b1p, np.asarray(start_basis, dtype=int), m, v)
     keep = np.arange(m)
-    if redundant:
-        keep = np.setdiff1d(np.arange(m), redundant)
-        a1, b1, b1p, sign = a1[keep], b1[keep], b1p[keep], sign[keep]
-        basis = sim.basis[keep].copy()
-        binv = np.linalg.inv(a1[:, basis])
+    if warm is not None:
+        (basis, binv), iterations = warm, 0
     else:
-        basis = sim.basis.copy()
-        binv = sim.binv
-    if np.any(basis >= v):  # pragma: no cover - exhausted by the loop above
-        raise NumericError("artificial variable stuck in basis")
+        # phase 1: minimize the sum of artificial variables
+        w1 = np.hstack([a1, np.eye(m)])
+        c1 = np.concatenate([np.zeros(v), np.ones(m)])
+        sim = _Simplex(w1, b1p, c1, np.arange(v, v + m), np.eye(m), max_iter, 1e-9, "phase-1 ")
+        if sim.run() != "optimal":  # pragma: no cover - phase-1 objective is bounded below
+            raise NumericError("phase-1 simplex reported unbounded")
+        sim.refactor()
+        xb = np.maximum(sim.binv @ b1, 0.0)
+        obj1 = float(c1[sim.basis] @ xb)
+        if obj1 > _FEAS_TOL * bscale:
+            y = sim.binv.T @ c1[sim.basis]
+            return LPSolution(status="infeasible", dual_point=sign * y, iterations=sim.iterations)
 
-    return _phase2(a, a1, b, b1, b1p, sign, c, basis, binv, sim.iterations,
-                   keep, max_iter, price_tol, feas_tol, gap_tol, bscale, cutoff)
+        # pivot artificials out of the basis; rows with no eligible pivot are redundant
+        redundant: list[int] = []
+        for pos in range(m):
+            if sim.basis[pos] < v:
+                continue
+            row = sim.binv[pos] @ a1
+            row[sim.basis[sim.basis < v]] = 0.0
+            candidates = np.flatnonzero(np.abs(row) > 1e-7)
+            if candidates.size:
+                entering = int(candidates[0])
+                d = sim.binv @ w1[:, entering]
+                piv = d[pos]
+                r = sim.binv[pos] / piv
+                sim.binv -= np.outer(d, r)
+                sim.binv[pos] = r
+                sim.basis[pos] = entering
+            else:
+                redundant.append(pos)
+        basis, binv, iterations = sim.basis.copy(), sim.binv, sim.iterations
+        if redundant:
+            keep = np.setdiff1d(keep, redundant)
+            a1, b1, b1p, sign = a1[keep], b1[keep], b1p[keep], sign[keep]
+            basis = basis[keep]
+            binv = np.linalg.inv(a1[:, basis])
+        if np.any(basis >= v):  # pragma: no cover - exhausted by the loop above
+            raise NumericError("artificial variable stuck in basis")
+
+    # phase 2
+    sim = _Simplex(a1, b1p, c, basis, binv, max_iter, 1e-9 * (1.0 + float(np.max(np.abs(c)))))
+    sim.iterations = iterations
+    status = sim.run(-np.inf if cutoff is None else cutoff)
+    if status == "unbounded":
+        return LPSolution(status="unbounded", iterations=sim.iterations)
+    if status == "cutoff":
+        return LPSolution(status="cutoff", iterations=sim.iterations, basis=sim.basis.copy())
+    return _certified(a, a1, b, b1, sign, c, sim.basis, keep, sim.iterations, bscale)
 
 
 def _warm_basis(a1: np.ndarray, b1p: np.ndarray, basis: np.ndarray, m: int,
@@ -286,24 +280,7 @@ def _warm_basis(a1: np.ndarray, b1p: np.ndarray, basis: np.ndarray, m: int,
     return basis.copy(), binv
 
 
-def _phase2(a, a1, b, b1, b1p, sign, c, basis, binv, start_iters,
-            row_keep, max_iter, price_tol, feas_tol, gap_tol, bscale, cutoff) -> LPSolution:
-    sim2 = _Simplex(a1, b1p, c, basis, binv, max_iter, price_tol)
-    sim2.iterations = start_iters
-    try:
-        status = sim2.run(-np.inf if cutoff is None else cutoff)
-    except _Stall as exc:
-        raise SolverStall(f"iteration cap {max_iter} exceeded") from exc
-    if status == "unbounded":
-        return LPSolution(status="unbounded", iterations=sim2.iterations)
-    if status == "cutoff":
-        return LPSolution(status="cutoff", iterations=sim2.iterations, basis=sim2.basis.copy())
-    return _certified(a, a1, b, b1, sign, c, sim2.basis, row_keep, sim2.iterations,
-                      feas_tol, gap_tol, bscale)
-
-
-def _certified(a, a1, b, b1, sign, c, basis, row_keep, iterations, feas_tol, gap_tol,
-               bscale) -> LPSolution:
+def _certified(a, a1, b, b1, sign, c, basis, row_keep, iterations, bscale) -> LPSolution:
     """The closing certificate of every "optimal" verdict: refactor the basis,
     recompute x and y from the exact RHS, and check the primal residual and
     the duality gap. Raises NumericError when a check fails."""
@@ -319,12 +296,12 @@ def _certified(a, a1, b, b1, sign, c, basis, row_keep, iterations, feas_tol, gap
     x = np.zeros(v)
     x[basis] = np.maximum(xb, 0.0)
     residual = float(np.max(np.abs(a @ x - b)))
-    if residual > 100 * feas_tol * bscale:
+    if residual > 100 * _FEAS_TOL * bscale:
         raise NumericError(f"optimal basis lost feasibility (residual {residual:.3e})")
     y = binv.T @ c[basis]
     obj = float(c @ x)
     gap = abs(obj - float(b1 @ y))
-    if gap > gap_tol * (1.0 + abs(obj)):  # pragma: no cover - gap is roundoff only
+    if gap > _GAP_TOL * (1.0 + abs(obj)):  # pragma: no cover - gap is roundoff only
         raise NumericError(f"duality gap {gap:.3e} exceeds tolerance")
     # rows dropped as redundant carry zero dual weight
     dual = np.zeros(a.shape[0])
@@ -335,14 +312,13 @@ def _certified(a, a1, b, b1, sign, c, basis, row_keep, iterations, feas_tol, gap
 
 def certify_basis(p: LPProblem, basis: np.ndarray) -> LPSolution:
     """solve_lp's "optimal" verdict for a basis that another pivot loop found
-    optimal: the same closing certificate, with solve_lp's default
-    tolerances, and the bytes solve_lp gives when it ends at this basis. The
-    caller vouches for dual feasibility (its pricing); NumericError when a
-    check fails."""
+    optimal: the same closing certificate, tolerances and bytes that solve_lp
+    gives when it ends at this basis. The caller vouches for dual feasibility
+    (its pricing); NumericError when a check fails."""
     a, b, c = p.constraint_matrix, p.rhs, p.objective
     sign, a1, b1, bscale = _oriented(a, b)
-    return _certified(a, a1, b, b1, sign, c, basis, np.arange(a.shape[0]), 0,
-                      _FEAS_TOL, _GAP_TOL, bscale)
+    return _certified(a, a1, b, b1, sign, c, basis, np.arange(a.shape[0]), 0, bscale)
+
 
 
 def dump_problem(p: LPProblem, path) -> None:
@@ -359,10 +335,7 @@ def load_problem(path) -> LPProblem:
     for ln in read_text(path, "LP dump").splitlines():
         head = ln.split(" ", 1)[0]
         if head in ("rhs", "objective"):
-            try:
-                records[head] = np.array([float(t) for t in ln.split()[1:]])
-            except ValueError as exc:
-                raise IoError(path, f"{head} record has a non-numeric entry: {exc}") from exc
+            records[head] = parse_floats(ln.split()[1:], path, f"{head} record")
         else:
             matrix_lines.append(ln)
     if set(records) != {"rhs", "objective"}:

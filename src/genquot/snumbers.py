@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _CERT_SAMPLES = 64
+_GRID_POINTS = 201  # shift-search grid size (min_over_shifts' default)
 _RADII_STREAM_OFFSET = 0x5EED_0001  # derived stream for on-demand radii
 
 
@@ -185,7 +186,7 @@ def _shift_scan(value_of: Callable[[float], float], window: float,
     return best_shift, best_value, grid
 
 
-def min_over_shifts(body: RandomQuotientBody, t, k: int, grid_points: int = 201,
+def min_over_shifts(body: RandomQuotientBody, t, k: int, grid_points: int = _GRID_POINTS,
                     opnorm: float | None = None,
                     rad: RadiiEstimate | None = None) -> ShiftSearchResult:
     """Minimize the Euclidean proxy s_k(T - lambda*Id) over a shift window.
@@ -217,8 +218,7 @@ def min_over_shifts(body: RandomQuotientBody, t, k: int, grid_points: int = 201,
                              bracket_at_best=bracket, grid=grid)
 
 
-def gelfand_sum_bracket(body: RandomQuotientBody, t, grid_points: int = 201,
-                        opnorm: float | None = None,
+def gelfand_sum_bracket(body: RandomQuotientBody, t, opnorm: float | None = None,
                         rad: RadiiEstimate | None = None) -> GelfandSumResult:
     """Best shifted s-number sum: shift to the traceless representative, then
     grid-search a further shift minimizing sum_i s_i(T0 - lambda*Id).
@@ -242,7 +242,7 @@ def gelfand_sum_bracket(body: RandomQuotientBody, t, grid_points: int = 201,
     def value_of(lam: float) -> float:
         return float(np.linalg.svd(t0 - lam * eye, compute_uv=False).sum())
 
-    rel_shift, best_sum, _ = _shift_scan(value_of, 2.0 * q0, grid_points,
+    rel_shift, best_sum, _ = _shift_scan(value_of, 2.0 * q0, _GRID_POINTS,
                                          (0.0, -lam0))
     est = _body_radii(body, rad)
     ratio = est.inradius_estimate / est.circumradius

@@ -110,6 +110,14 @@ def test_shiftsearch_too_few_grid_points_exits_2(body_file, tmp_path, capsys, po
     _assert_usage_error_line(capsys.readouterr().err)
 
 
+def test_shiftsearch_k_zero_exits_2(body_file, tmp_path, capsys):
+    mpath = tmp_path / "t.mtx"
+    gq.write_matrix(1.5 * np.eye(3), mpath)
+    assert main(["shiftsearch", "--body", str(body_file), "--matrix", str(mpath),
+                 "--k", "0"]) == 2
+    _assert_usage_error_line(capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("argv", [["verify", "hsbound", "--trials", "1"], ["calibrate"]])
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exits_2(tmp_path, capsys, argv, threads):
@@ -213,6 +221,35 @@ def test_bad_body_file_exits_2(tmp_path, capsys, text):
     bad.write_text(text)
     assert main(["norm", "--body", str(bad), "--vec", "1,1"]) == 2
     _assert_io_error_line(capsys.readouterr().err, bad)
+
+
+# a nan or inf in any input names its source and exits 2, like a non-numeric entry
+_NON_FINITE_FILES = {
+    "body": ("GENQUOT-BODY v1 2 3 0 0\n2 3\n1 0 1\n0 nan 1\n", gq.load_body),
+    "matrix": ("2 2\n1 0\n-inf 1\n", gq.read_matrix),
+    "lp-dump": ("1 2\n1 1\nrhs 1\nobjective 1 inf\n", gq.load_problem),
+    "witness": ('{"kind": "l1", "basis": "2 1\\nnan\\n0\\n"}', gq.load_witness),
+}
+
+
+@pytest.mark.parametrize("kind", [*_NON_FINITE_FILES, "--vec"])
+def test_non_finite_input_exits_2_naming_its_source(body_file, tmp_path, capsys, kind):
+    if kind == "--vec":
+        assert main(["norm", "--body", str(body_file), "--vec", "nan,1,0"]) == 2
+        assert "entries must be finite" in capsys.readouterr().err
+        return
+    text, load = _NON_FINITE_FILES[kind]
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text)
+    with pytest.raises(gq.IoError) as err:
+        load(path)
+    assert err.value.path == str(path)
+    assert "has a non-finite entry" in err.value.message
+    argv = {"body": ["norm", "--vec", "1,1", "--body", str(path)],
+            "matrix": ["opnorm", "--body", str(body_file), "--matrix", str(path)]}.get(kind)
+    if argv is not None:  # the kinds a CLI command reads
+        assert main(argv) == 2
+        _assert_io_error_line(capsys.readouterr().err, path)
 
 
 def test_bad_matrix_file_exits_2(body_file, tmp_path, capsys):

@@ -130,6 +130,12 @@ class TestFindL2:
         with pytest.raises(gq.UsageError):
             gq.find_l2_subspace(body, seed=seed(113, 1), relax_alpha=0.5)
 
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, float("nan")])
+    def test_relax_alpha_must_be_positive(self, alpha):
+        body = gq.make_body(4, 8, seed(116))
+        with pytest.raises(gq.UsageError, match="relax_alpha must be > 0"):
+            gq.find_l2_subspace(body, seed=seed(116, 1), relax_alpha=alpha)
+
     def test_witness_reverifies_exactly(self):
         body = gq.make_body(9, 81, seed(114))
         wit = gq.find_l2_subspace(body, seed=seed(114, 1))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import pickle
 
 import pytest
@@ -30,3 +31,18 @@ def test_errors_survive_pickling(cls):
     assert str(back) == str(exc)
     for field in ("tag", "measured", "path"):
         assert getattr(back, field, None) == getattr(exc, field, None)
+
+
+_MODULES = ("errors", "linalg", "sampler", "linprog", "body", "snumbers", "constructions",
+            "experiments")
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_package_exports_every_module_public_name(module):
+    names = importlib.import_module(f"genquot.{module}").__all__
+    assert [name for name in names if not hasattr(gq, name)] == []
+
+
+def test_errors_all_lists_every_error_class():
+    assert set(gq.errors.__all__) == {cls.__name__ for cls in
+                                      [gq.GenquotError, *_subclasses(gq.GenquotError)]}

@@ -77,6 +77,11 @@ class TestSuiteConfig:
         with pytest.raises(gq.UsageError):
             gq.default_config("nosuch", master_seed=0)
 
+    @pytest.mark.parametrize("suite", ["lemmaB", "thm22"])
+    def test_empty_size_grid_rejected(self, suite):
+        with pytest.raises(gq.UsageError, match="size_grid"):
+            gq.default_config(suite, master_seed=0, size_grid=())
+
     def test_missing_calibrated_threshold(self):
         cfg = tiny("prop41")
         with pytest.raises(gq.UsageError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import genquot as gq
+from genquot import linprog
 from genquot.linprog import LPProblem, solve_lp
 
 from conftest import enumerate_lp, highs_gauges
@@ -48,9 +49,14 @@ class TestBasicVerdicts:
         with pytest.raises(gq.UsageError):
             lp([[1.0, 1.0]], [1.0, 2.0], [1.0, 1.0])
 
-    def test_iteration_cap_stalls(self):
-        with pytest.raises(gq.SolverStall):
-            solve_lp(lp([[1, 0, 1], [0, 1, 1]], [1, 1], [1, 1, 1]), max_iter=1)
+    def test_iteration_cap_stalls(self, monkeypatch):
+        problem = lp([[1, 0, 1], [0, 1, 1]], [1, 1], [1, 1, 1])
+        basis = solve_lp(problem).basis
+        monkeypatch.setattr(linprog, "_ITER_CAP", 0)  # the cap is _ITER_CAP * (m + v) pivots
+        with pytest.raises(gq.SolverStall, match="phase-1 iteration cap 0"):
+            solve_lp(problem)
+        with pytest.raises(gq.SolverStall, match="^iteration cap 0"):  # phase 2, from a warm start
+            solve_lp(problem, start_basis=basis)
 
     def test_redundant_row(self):
         # duplicated consistent constraint
