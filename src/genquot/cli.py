@@ -70,12 +70,15 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def _default_threads() -> int:
     env = os.environ.get("GENQUOT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise UsageError(f"GENQUOT_THREADS must be an integer >= 1, got {env!r}")
+    return threads
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -175,21 +178,9 @@ _TRUE_WORDS = ("1", "true", "yes")
 _FALSE_WORDS = ("0", "false", "no")
 
 
-def _explicit_dests(argv: list[str]) -> set[str]:
-    """Destinations of the options argv sets, in every spelling argparse
-    accepts (--trials 4, --trials=4, the abbreviation --tri 4): argv parsed
-    again with every subcommand default suppressed."""
-    parser, registry = _build_parser()
-    for subparser in registry.values():
-        for action in subparser._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
-def _apply_config_file(args: argparse.Namespace, subparser: argparse.ArgumentParser,
-                       argv: list[str]) -> None:
-    if not getattr(args, "config", None):
-        return
+def _config_defaults(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> dict:
+    """The --config file's entries as subcommand defaults: each value
+    converted and checked as its flag would be."""
     entries: dict[str, str] = {}
     for ln in read_text(args.config, "config file").splitlines():
         ln = ln.strip()
@@ -200,7 +191,7 @@ def _apply_config_file(args: argparse.Namespace, subparser: argparse.ArgumentPar
         key, value = ln.split("=", 1)
         entries[key.strip()] = value.strip()
     actions = {a.dest: a for a in subparser._actions}
-    explicit = _explicit_dests(argv)
+    defaults = {}
     for key, value in entries.items():
         dest = key.replace("-", "_")
         if dest not in actions:
@@ -210,13 +201,11 @@ def _apply_config_file(args: argparse.Namespace, subparser: argparse.ArgumentPar
         if not action.option_strings:
             raise UsageError(f"config file {args.config}: {key!r} is a positional argument; "
                              "give it on the command line")
-        if dest in explicit:  # explicit flag wins
-            continue
         if isinstance(action, argparse._StoreTrueAction):
             if value.lower() not in _TRUE_WORDS + _FALSE_WORDS:
                 raise UsageError(f"config file {args.config}: bad {key!r} value {value!r}: "
                                  f"use one of {', '.join(_TRUE_WORDS + _FALSE_WORDS)}")
-            setattr(args, dest, value.lower() in _TRUE_WORDS)
+            defaults[dest] = value.lower() in _TRUE_WORDS
         else:
             try:
                 converted = (action.type or str)(value)
@@ -225,7 +214,8 @@ def _apply_config_file(args: argparse.Namespace, subparser: argparse.ArgumentPar
             if action.choices is not None and converted not in action.choices:
                 raise UsageError(f"config file {args.config}: {key!r} must be one of "
                                  f"{', '.join(map(str, action.choices))}, got {value!r}")
-            setattr(args, dest, converted)
+            defaults[dest] = converted
+    return defaults
 
 
 def _log_config(args: argparse.Namespace) -> None:
@@ -344,10 +334,16 @@ def _threads_of(args) -> int:
     return args.threads
 
 
+def _samples_of(args) -> int | None:
+    if args.samples is not None and args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    return args.samples
+
+
 def _cmd_verify(args) -> int:
     thresholds = _load_thresholds_arg(args)
     cfg = default_config(args.suite, master_seed=args.seed, trials=args.trials,
-                         thresholds=thresholds, samples=args.samples)
+                         thresholds=thresholds, samples=_samples_of(args))
     report = run_suite(cfg, threads=_threads_of(args))
     if args.out:
         write_report(report, args.format, args.out)
@@ -391,7 +387,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles --version (0) and usage errors (2)
         return int(exc.code or 0)
     try:
-        _apply_config_file(args, registry[args.command], argv)
+        if args.config:  # config entries become defaults, so explicit flags win
+            registry[args.command].set_defaults(**_config_defaults(args, registry[args.command]))
+            args = parser.parse_args(argv)
         _log_config(args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:

@@ -76,7 +76,6 @@ class L1Witness:
     iso_constant: float
     compl_constant: float
     seed: SeedSpec
-    iso_samples: int = _ISO_SAMPLES
 
     @property
     def k(self) -> int:
@@ -94,7 +93,6 @@ class L2Witness:
     compl_constant: float
     proj_image_radius: float
     seed: SeedSpec
-    section_samples: int
 
     @property
     def h(self) -> int:
@@ -116,9 +114,8 @@ def auto_l2_dim(n: int, big_n: int, c_cal: float = DEFAULT_C_CAL) -> int:
 
 
 def _inverse_map_estimates(body: RandomQuotientBody, block: np.ndarray,
-                           basis: np.ndarray, samples: int,
-                           seed: SeedSpec) -> tuple[float, float]:
-    """Sampled estimates over unit directions x in span(basis):
+                           basis: np.ndarray, seed: SeedSpec) -> tuple[float, float]:
+    """Sampled estimates over _ISO_SAMPLES unit directions x in span(basis):
 
     sup ||x||_2 / ||x||_B (the proof's Euclidean comparison factor) and
     sup ||t(x)||_1 / ||x||_B with t(x) the coefficient vector of x in the
@@ -132,7 +129,7 @@ def _inverse_map_estimates(body: RandomQuotientBody, block: np.ndarray,
         gauge = body_norm(body, x)
         return 1.0 / gauge, float(np.abs(pinv @ x).sum()) / gauge
     rng = generator(seed)
-    w = rng.normal(size=(samples, k))
+    w = rng.normal(size=(_ISO_SAMPLES, k))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     dirs = w @ basis.T
     gauges = body_norm_many(body, dirs)
@@ -142,8 +139,7 @@ def _inverse_map_estimates(body: RandomQuotientBody, block: np.ndarray,
 
 def find_l1_subspace(body: RandomQuotientBody, k: int | None = None, retries: int = 16,
                      seed: SeedSpec | None = None, c_cal: float = DEFAULT_C_CAL,
-                     el2_threshold: float = DEFAULT_EL2_THRESHOLD,
-                     iso_samples: int = _ISO_SAMPLES) -> L1Witness:
+                     el2_threshold: float = DEFAULT_EL2_THRESHOLD) -> L1Witness:
     """Search for a k-column block spanning a well-complemented near-l1^k copy.
 
     Retries draw fresh uniformly random index sets on consecutive derived
@@ -164,13 +160,13 @@ def find_l1_subspace(body: RandomQuotientBody, k: int | None = None, retries: in
         stream = seed.child(attempt)
         a = np.sort(generator(stream).choice(body.N, size=k, replace=False))
         try:
-            return _measure_l1(body, a, stream, iso_samples, el2_threshold, 1.0 / np.sqrt(k))
+            return _measure_l1(body, a, stream, el2_threshold, 1.0 / np.sqrt(k))
         except ConditionFailed as exc:
             last = exc
     raise ConditionFailed(last.tag, f"{last.message} after {retries} retries", last.measured)
 
 
-def _measure_l1(body: RandomQuotientBody, a: np.ndarray, stream: SeedSpec, iso_samples: int,
+def _measure_l1(body: RandomQuotientBody, a: np.ndarray, stream: SeedSpec,
                 el2_threshold: float = 0.0, leak_cap: float = np.inf) -> L1Witness:
     """Measure the column block a, sampling on `stream`.
 
@@ -196,15 +192,14 @@ def _measure_l1(body: RandomQuotientBody, a: np.ndarray, stream: SeedSpec, iso_s
                               {"max_leak": max_leak, "threshold": leak_cap, "k": k})
 
     u_norm = max(body_norm(body, body.gamma[:, j]) for j in a)
-    sup_ratio, inv_direct = _inverse_map_estimates(body, block, basis, iso_samples,
+    sup_ratio, inv_direct = _inverse_map_estimates(body, block, basis,
                                                    stream.child(_ISO_STREAM_OFFSET))
     inv_bound = min(np.sqrt(k) / sigma_min * sup_ratio, inv_direct)
     iso = max(1.0, u_norm * inv_bound)
     compl = complementation_norm(body, basis)
     return L1Witness(index_set=tuple(int(j) for j in a), basis=basis,
                      sigma_min=sigma_min, max_leak=max_leak,
-                     iso_constant=float(iso), compl_constant=compl, seed=stream,
-                     iso_samples=iso_samples)
+                     iso_constant=float(iso), compl_constant=compl, seed=stream)
 
 
 def find_l2_subspace(body: RandomQuotientBody, h: int | None = None,
@@ -239,20 +234,19 @@ def find_l2_subspace(body: RandomQuotientBody, h: int | None = None,
         h = auto_l2_dim(n, big_n, c_cal)
     if not 1 <= h <= n:
         raise UsageError(f"need 1 <= h <= n={n}, got h={h}")
-    return _measure_l2(body, haar_subspace(n, h, seed), seed, _SECTION_SAMPLES)
+    return _measure_l2(body, haar_subspace(n, h, seed), seed)
 
 
-def _measure_l2(body: RandomQuotientBody, sub: HaarSubspace, seed: SeedSpec,
-                section_samples: int) -> L2Witness:
-    """Measure the section sub, sampling on seed.child(1); shared by the search
-    and verify_witness."""
-    max_g, min_g = section_distortion(body, sub, section_samples, seed.child(1))
+def _measure_l2(body: RandomQuotientBody, sub: HaarSubspace, seed: SeedSpec) -> L2Witness:
+    """Measure the section sub, sampling _SECTION_SAMPLES directions on
+    seed.child(1); shared by the search and verify_witness."""
+    max_g, min_g = section_distortion(body, sub, _SECTION_SAMPLES, seed.child(1))
     proj = sub.basis @ (sub.basis.T @ body.gamma)
     compl = max_gauge_in_span(body, sub.basis, proj.T)
     radius = float(np.linalg.norm(proj, axis=0).max())
     return L2Witness(subspace=sub, distortion=max_g / min_g, max_gauge=max_g,
                      min_gauge=min_g, compl_constant=compl, proj_image_radius=radius,
-                     seed=seed, section_samples=section_samples)
+                     seed=seed)
 
 
 def complementation_norm(body: RandomQuotientBody, basis) -> float:
@@ -269,14 +263,14 @@ def complementation_norm(body: RandomQuotientBody, basis) -> float:
 
 
 def corollary_dispatch(body: RandomQuotientBody, seed: SeedSpec,
-                       c_cal: float = DEFAULT_C_CAL, **kwargs):
+                       c_cal: float = DEFAULT_C_CAL):
     """Case split: l1 construction when log N < sqrt(n), l2 construction otherwise.
 
     Returns ("l1", L1Witness) or ("l2", L2Witness).
     """
     if np.log(body.N) < np.sqrt(body.n):
-        return "l1", find_l1_subspace(body, seed=seed, c_cal=c_cal, **kwargs)
-    return "l2", find_l2_subspace(body, seed=seed, c_cal=c_cal, **kwargs)
+        return "l1", find_l1_subspace(body, seed=seed, c_cal=c_cal)
+    return "l2", find_l2_subspace(body, seed=seed, c_cal=c_cal)
 
 
 def verify_witness(body: RandomQuotientBody, witness) -> dict[str, float]:
@@ -286,11 +280,10 @@ def verify_witness(body: RandomQuotientBody, witness) -> dict[str, float]:
     (the sampled quantities rerun on the stored stream and reproduce exactly).
     """
     if isinstance(witness, L1Witness):
-        again = _measure_l1(body, np.array(witness.index_set), witness.seed,
-                            witness.iso_samples)
+        again = _measure_l1(body, np.array(witness.index_set), witness.seed)
         keys = ("sigma_min", "max_leak", "iso_constant", "compl_constant")
     elif isinstance(witness, L2Witness):
-        again = _measure_l2(body, witness.subspace, witness.seed, witness.section_samples)
+        again = _measure_l2(body, witness.subspace, witness.seed)
         keys = ("distortion", "compl_constant", "proj_image_radius")
     else:
         raise UsageError(f"unknown witness type {type(witness).__name__}")
@@ -308,7 +301,6 @@ def save_witness(witness, path) -> None:
                 "max_leak": witness.max_leak,
                 "iso_constant": witness.iso_constant,
                 "compl_constant": witness.compl_constant,
-                "iso_samples": witness.iso_samples,
             },
             "seed": {"master_seed": witness.seed.master_seed,
                      "stream_index": witness.seed.stream_index},
@@ -324,7 +316,6 @@ def save_witness(witness, path) -> None:
                 "min_gauge": witness.min_gauge,
                 "compl_constant": witness.compl_constant,
                 "proj_image_radius": witness.proj_image_radius,
-                "section_samples": witness.section_samples,
             },
             "seed": {"master_seed": witness.seed.master_seed,
                      "stream_index": witness.seed.stream_index},
@@ -352,7 +343,10 @@ def load_witness(path):
     consts = field(payload, "constants", dict)
 
     def const(key: str):
-        return field(consts, key, (int, float))
+        value = field(consts, key, (int, float))
+        if isinstance(value, float) and not np.isfinite(value):
+            raise IoError(path, f"witness constant {key!r} must be a finite number, got {value!r}")
+        return value
 
     if kind == "l1":
         indices = field(payload, "indices", list)
@@ -361,12 +355,9 @@ def load_witness(path):
         return L1Witness(index_set=tuple(indices), basis=basis,
                          sigma_min=const("sigma_min"), max_leak=const("max_leak"),
                          iso_constant=const("iso_constant"),
-                         compl_constant=const("compl_constant"), seed=seed,
-                         iso_samples=(field(consts, "iso_samples", int)
-                                      if "iso_samples" in consts else _ISO_SAMPLES))
+                         compl_constant=const("compl_constant"), seed=seed)
     sub = HaarSubspace(ambient_dim=basis.shape[0], dim=basis.shape[1], basis=basis)
     return L2Witness(subspace=sub, distortion=const("distortion"),
                      max_gauge=const("max_gauge"), min_gauge=const("min_gauge"),
                      compl_constant=const("compl_constant"),
-                     proj_image_radius=const("proj_image_radius"), seed=seed,
-                     section_samples=field(consts, "section_samples", int))
+                     proj_image_radius=const("proj_image_radius"), seed=seed)

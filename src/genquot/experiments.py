@@ -162,14 +162,10 @@ class SuiteReport:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted constant with transformed-domain rms residual.
-
-    exponent is populated by the "power" model only.
-    """
+    """Fitted constant with the rms residual of the log-domain fit."""
 
     constant: float
     residual: float
-    exponent: float | None = None
 
 
 def _seed(cfg: SuiteConfig, cell: int, trial: int) -> SeedSpec:
@@ -241,43 +237,20 @@ def _cells(cfg: SuiteConfig, records: list[dict], summary: Callable[[tuple, list
 # ---------------------------------------------------------------------------
 
 
-def fit_constant(points, model: str) -> FitResult:
-    """Least-squares constant extraction in the model's transformed domain.
-
-    exp_decay: y = A exp(-c x), fit in log domain, returns c.
-    power:     y = A x^p, fit in log-log domain, returns A with exponent p.
-    sqrt_ratio: y = c sqrt(x), returns the mean ratio y / sqrt(x).
-    """
+def fit_constant(points) -> FitResult:
+    """Least-squares fit of y = A exp(-c x) in the log domain; returns c."""
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 2:
         raise FitError(f"need at least 2 points, got {len(pts)}")
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
-    if model == "exp_decay":
-        if np.any(ys <= 0):
-            raise FitError("exp_decay requires positive y values")
-        if np.ptp(xs) == 0:
-            raise FitError("degenerate x data")
-        slope, intercept = np.polyfit(xs, np.log(ys), 1)
-        resid = np.log(ys) - (slope * xs + intercept)
-        return FitResult(constant=float(-slope), residual=float(np.sqrt(np.mean(resid ** 2))))
-    if model == "power":
-        if np.any(ys <= 0) or np.any(xs <= 0):
-            raise FitError("power requires positive x and y values")
-        if np.ptp(xs) == 0:
-            raise FitError("degenerate x data")
-        slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
-        resid = np.log(ys) - (slope * np.log(xs) + intercept)
-        return FitResult(constant=float(np.exp(intercept)),
-                         residual=float(np.sqrt(np.mean(resid ** 2))),
-                         exponent=float(slope))
-    if model == "sqrt_ratio":
-        if np.any(xs <= 0):
-            raise FitError("sqrt_ratio requires positive x values")
-        ratios = ys / np.sqrt(xs)
-        c = float(np.mean(ratios))
-        return FitResult(constant=c, residual=float(np.sqrt(np.mean((ratios - c) ** 2))))
-    raise UsageError(f"unknown fit model {model!r}")
+    if np.any(ys <= 0):
+        raise FitError("the exp-decay fit requires positive y values")
+    if np.ptp(xs) == 0:
+        raise FitError("degenerate x data")
+    slope, intercept = np.polyfit(xs, np.log(ys), 1)
+    resid = np.log(ys) - (slope * xs + intercept)
+    return FitResult(constant=float(-slope), residual=float(np.sqrt(np.mean(resid ** 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +260,12 @@ def fit_constant(points, model: str) -> FitResult:
 
 def _lemma_a_trial(cfg: SuiteConfig, ci: int, cell: tuple[int], t: int) -> dict:
     d = cell[0]
-    batch = cfg.samples or 1000
     sd = _seed(cfg, ci, t)
-    g = gaussian_matrix(d, batch, 1.0 / d, sd)
+    g = gaussian_matrix(d, cfg.samples, 1.0 / d, sd)
     norms = np.linalg.norm(g, axis=0)
     return {
         "cell": f"d={d}", "d": d, "trial": t, "stream": sd.stream_index,
-        "samples": batch,
+        "samples": cfg.samples,
         "mean_sq": float(np.mean(norms ** 2)),
         "n_ge2": int(np.count_nonzero(norms >= 2.0)),
         "n_le_half": int(np.count_nonzero(norms <= 0.5)),
@@ -324,7 +296,7 @@ def _lemma_a_summary(cfg: SuiteConfig, records: list[dict]) -> tuple[dict, dict,
     fitted: dict = {}
     decay_pts = [(d, cells[f"d={d}"]["freq_out"]) for d in dims if cells[f"d={d}"]["freq_out"] > 0]
     if len(decay_pts) >= 2:
-        fit = fit_constant(decay_pts, "exp_decay")
+        fit = fit_constant(decay_pts)
         fitted["c0"] = fit.constant
         fitted["c0_residual"] = fit.residual
 
@@ -481,7 +453,7 @@ def _fact31_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> d
     n, big_n = cell
     sd = _seed(cfg, ci, t)
     body = make_body(n, big_n, sd)
-    mw, mw_err = mean_width(body, cfg.samples or 10_000, sd.child(1))
+    mw, mw_err = mean_width(body, cfg.samples, sd.child(1))
     rec = {
         "cell": _cell_label(cell), "n": n, "N": big_n, "trial": t,
         "stream": sd.stream_index, "mean_width": mw, "mean_width_err": mw_err,

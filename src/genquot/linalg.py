@@ -1,13 +1,13 @@
-"""Dense real linear algebra primitives: SVD, orthonormalization, projection,
-and the golden-section line search of the shift search.
+"""Dense real linear algebra primitives: SVD, orthonormalization and the
+golden-section line search of the shift search.
 
 Everything operates on plain float64 numpy arrays (matrices are 2-d,
 column-oriented where a basis is meant). The text serialization here is the
 repo-wide matrix exchange format: a "rows cols" header line followed by one
 line per row with entries printed to 17 significant digits, which round-trips
-float64 exactly. Every genquot file (body, matrix, LP dump, witness, report,
-thresholds, config) is ASCII text read and written through read_text and
-write_text, so a file that cannot be opened or decoded is an IoError naming it.
+float64 exactly. Every genquot file (body, matrix, witness, report, thresholds,
+config) is ASCII text read and written through read_text and write_text, so
+a file that cannot be opened or decoded is an IoError naming it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "OrthoResult",
     "svd",
     "orthonormalize",
-    "orth_project",
     "format_matrix",
     "parse_matrix",
     "write_matrix",
@@ -35,7 +34,7 @@ __all__ = [
     "golden_min",
 ]
 
-DEFAULT_DROP_TOL = 1e-10
+_DROP_TOL = 1e-10  # orthonormalize: relative residual below which a vector is dropped
 _ORTHO_TOL = 1e-10  # check_orthonormal: largest |B^T B - I| entry accepted
 
 
@@ -83,16 +82,13 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 class SvdResult:
     """Thin SVD M = U diag(S) V^T with U, V holding orthonormal columns.
 
-    singular_values is non-increasing and non-negative; reconstruction is
-    guaranteed to 1e-10 * (1 + ||M||_F) by the backing LAPACK driver.
+    singular_values is non-increasing and non-negative; the factors reproduce
+    M to 1e-10 * (1 + ||M||_F), as the backing LAPACK driver guarantees.
     """
 
     left_basis: np.ndarray
     singular_values: np.ndarray
     right_basis: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left_basis * self.singular_values) @ self.right_basis.T
 
 
 @dataclass(frozen=True)
@@ -117,12 +113,12 @@ def svd(m) -> SvdResult:
     return SvdResult(left_basis=u, singular_values=s, right_basis=vt.T)
 
 
-def orthonormalize(vectors: Sequence, tol: float = DEFAULT_DROP_TOL) -> OrthoResult:
+def orthonormalize(vectors: Sequence) -> OrthoResult:
     """Modified Gram-Schmidt with one re-orthogonalization pass.
 
     `vectors` is a sequence of equal-length 1-d arrays (or a 2-d array whose
     *columns* are the vectors). Vectors whose residual after projection falls
-    below tol * (largest input norm) are dropped and counted.
+    below _DROP_TOL * (largest input norm) are dropped and counted.
     """
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
         cols = [vectors[:, j] for j in range(vectors.shape[1])]
@@ -138,7 +134,7 @@ def orthonormalize(vectors: Sequence, tol: float = DEFAULT_DROP_TOL) -> OrthoRes
     scale = max(float(np.linalg.norm(v)) for v in cols)
     if scale == 0.0:
         return OrthoResult(basis=np.empty((d, 0)), dropped=len(cols))
-    cutoff = tol * scale
+    cutoff = _DROP_TOL * scale
 
     basis: list[np.ndarray] = []
     dropped = 0
@@ -162,15 +158,6 @@ def check_orthonormal(basis: np.ndarray, name: str = "basis") -> np.ndarray:
     if gram.shape[0] and np.max(np.abs(gram - np.eye(gram.shape[0]))) > _ORTHO_TOL:
         raise UsageError(f"{name} columns are not orthonormal to {_ORTHO_TOL:g}")
     return b
-
-
-def orth_project(basis: np.ndarray, x) -> np.ndarray:
-    """Orthogonal projection B B^T x onto the span of an orthonormal basis."""
-    b = check_orthonormal(basis)
-    v = as_vector(x, "x")
-    if v.size != b.shape[0]:
-        raise UsageError(f"vector dimension {v.size} != basis ambient dimension {b.shape[0]}")
-    return b @ (b.T @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +193,14 @@ def parse_matrix(text: str, source="<string>") -> np.ndarray:
         vals = ln.split()
         if len(vals) != cols:
             raise IoError(source, f"row {i} has {len(vals)} entries, expected {cols}")
-        data[i] = parse_floats(vals, source, f"row {i}")
+        try:
+            data[i] = [float(t) for t in vals]
+        except ValueError as exc:
+            raise IoError(source, f"row {i} has a non-numeric entry: {exc}") from exc
+        bad = np.flatnonzero(~np.isfinite(data[i]))
+        if bad.size:
+            raise IoError(source, f"row {i} has a non-finite entry {vals[bad[0]]!r}")
     return as_matrix(data, "parsed matrix")
-
-
-def parse_floats(tokens: list[str], source, what: str) -> np.ndarray:
-    """The tokens as finite floats, else an IoError naming source and `what`."""
-    try:
-        vals = np.array([float(t) for t in tokens])
-    except ValueError as exc:
-        raise IoError(source, f"{what} has a non-numeric entry: {exc}") from exc
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise IoError(source, f"{what} has a non-finite entry {tokens[bad[0]]!r}")
-    return vals
 
 
 def write_matrix(m, path) -> None:

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IoError, NumericError, SolverStall, UsageError
-from .linalg import (as_matrix, as_vector, format_matrix, parse_floats, parse_matrix, read_text,
-                     write_text)
+from .errors import NumericError, SolverStall, UsageError
+from .linalg import as_matrix, as_vector
 
-__all__ = ["LPProblem", "LPSolution", "solve_lp", "certify_basis", "dump_problem", "load_problem"]
+__all__ = ["LPProblem", "LPSolution", "solve_lp", "certify_basis"]
 
 _PIV_TOL = 1e-9  # smallest acceptable pivot magnitude in the ratio test
 _DEGEN_STREAK = 30  # degenerate pivots tolerated before switching to Bland
@@ -318,30 +317,3 @@ def certify_basis(p: LPProblem, basis: np.ndarray) -> LPSolution:
     a, b, c = p.constraint_matrix, p.rhs, p.objective
     sign, a1, b1, bscale = _oriented(a, b)
     return _certified(a, a1, b, b1, sign, c, basis, np.arange(a.shape[0]), 0, bscale)
-
-
-
-def dump_problem(p: LPProblem, path) -> None:
-    """Debugging dump: constraint matrix in the matrix text format followed by
-    one-line rhs and objective records."""
-    fmt = lambda v: " ".join(format(x, ".17g") for x in v)  # noqa: E731
-    write_text(path, f"{format_matrix(p.constraint_matrix)}rhs {fmt(p.rhs)}\n"
-                     f"objective {fmt(p.objective)}\n", "LP dump")
-
-
-def load_problem(path) -> LPProblem:
-    records = {}
-    matrix_lines = []
-    for ln in read_text(path, "LP dump").splitlines():
-        head = ln.split(" ", 1)[0]
-        if head in ("rhs", "objective"):
-            records[head] = parse_floats(ln.split()[1:], path, f"{head} record")
-        else:
-            matrix_lines.append(ln)
-    if set(records) != {"rhs", "objective"}:
-        raise IoError(path, "LP dump must contain rhs and objective records")
-    a = parse_matrix("\n".join(matrix_lines), path)
-    try:
-        return LPProblem(constraint_matrix=a, rhs=records["rhs"], objective=records["objective"])
-    except UsageError as exc:
-        raise IoError(path, str(exc)) from exc

@@ -1,4 +1,4 @@
-"""Deterministic seeded sampling of Gaussian vectors, matrices and subspaces.
+"""Deterministic seeded sampling of Gaussian matrices and Haar subspaces.
 
 Reproducibility contract: every random object is a pure function of a
 SeedSpec = (master_seed, stream_index). Distinct stream indices yield
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import UsageError
 from .linalg import orthonormalize
 
-__all__ = ["SeedSpec", "HaarSubspace", "generator", "gaussian_matrix", "gaussian_vector", "haar_subspace"]
+__all__ = ["SeedSpec", "HaarSubspace", "generator", "gaussian_matrix", "haar_subspace"]
 
 _U64 = 2**64
 
@@ -69,10 +69,6 @@ def gaussian_matrix(rows: int, cols: int, variance: float, seed: SeedSpec) -> np
         raise UsageError(f"variance must be positive, got {variance}")
     rng = generator(seed)
     return rng.normal(0.0, np.sqrt(variance), size=(rows, cols))
-
-
-def gaussian_vector(dim: int, variance: float, seed: SeedSpec) -> np.ndarray:
-    return gaussian_matrix(dim, 1, variance, seed)[:, 0]
 
 
 def haar_subspace(ambient_dim: int, dim: int, seed: SeedSpec) -> HaarSubspace:

@@ -67,7 +67,7 @@ class TestBodyNorm:
 
     def test_homogeneous(self):
         body = gq.make_body(4, 9, seed(35))
-        x = gq.gaussian_vector(4, 1.0, seed(35, 7))
+        x = gq.gaussian_matrix(4, 1, 1.0, seed(35, 7))[:, 0]
         base = gq.body_norm(body, x)
         assert gq.body_norm(body, -2.5 * x) == pytest.approx(2.5 * base, rel=1e-8)
 
@@ -167,8 +167,8 @@ def _operators(n: int, s: int) -> dict[str, np.ndarray]:
     return {
         "gaussian": gauss,
         "orthogonal": gq.haar_subspace(n, n, seed(s, 2)).basis,
-        "rank1": np.outer(gq.gaussian_vector(n, 1.0, seed(s, 3)),
-                          gq.gaussian_vector(n, 1.0, seed(s, 4))),
+        "rank1": np.outer(gq.gaussian_matrix(n, 1, 1.0, seed(s, 3))[:, 0],
+                          gq.gaussian_matrix(n, 1, 1.0, seed(s, 4))[:, 0]),
         "zero_column": zero_col,
         "zero": np.zeros((n, n)),
     }
@@ -222,7 +222,7 @@ class TestMaxGaugeKernel:
     def test_duplicated_column_falls_back_to_phase_one(self, monkeypatch):
         g = gq.gaussian_matrix(4, 10, 0.25, seed(154))
         body = gq.body_from_matrix(np.hstack([g, g[:, :1]]))  # column 10 == column 0
-        x = gq.gaussian_vector(4, 1.0, seed(154, 1))
+        x = gq.gaussian_matrix(4, 1, 1.0, seed(154, 1))[:, 0]
         verdicts = []
         warm_basis = linprog._warm_basis
 
@@ -304,7 +304,7 @@ class TestLockstepGauges:
         g = gq.gaussian_matrix(8, 40, 0.125, seed(168))
         body = gq.body_from_matrix(np.hstack([g, g[:, :1]]))  # column 40 == column 0
         # x close to g_0: columns 0 and 40 lead the crash ranking, so its Gamma_S is singular
-        x = g[:, 0] + 1e-3 * gq.gaussian_vector(8, 1.0, seed(168, 1))
+        x = g[:, 0] + 1e-3 * gq.gaussian_matrix(8, 1, 1.0, seed(168, 1))[:, 0]
         pts = np.vstack([x, _section_directions(8, 5, 169)])
         crash_usable = []
         inverses = body_module._inverses

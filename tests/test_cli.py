@@ -227,7 +227,6 @@ def test_bad_body_file_exits_2(tmp_path, capsys, text):
 _NON_FINITE_FILES = {
     "body": ("GENQUOT-BODY v1 2 3 0 0\n2 3\n1 0 1\n0 nan 1\n", gq.load_body),
     "matrix": ("2 2\n1 0\n-inf 1\n", gq.read_matrix),
-    "lp-dump": ("1 2\n1 1\nrhs 1\nobjective 1 inf\n", gq.load_problem),
     "witness": ('{"kind": "l1", "basis": "2 1\\nnan\\n0\\n"}', gq.load_witness),
 }
 
@@ -279,7 +278,7 @@ def test_non_ascii_input_file_exits_2(tmp_path, capsys, name, content, argv):
 
 
 @pytest.mark.parametrize("loader", [gq.load_body, gq.read_matrix, gq.load_witness,
-                                    gq.read_thresholds, gq.read_report, gq.load_problem])
+                                    gq.read_thresholds, gq.read_report])
 def test_loaders_refuse_non_ascii_bytes(tmp_path, loader):
     path = tmp_path / "input"
     path.write_bytes(b"0." + _NON_ASCII + b"\n")
@@ -297,7 +296,6 @@ _SCHEMA = f'"schema": "{gq.REPORT_SCHEMA}"'
     (gq.read_report, "{" + _SCHEMA + ', "pass": "yes"}'),  # pass must be a bool
     (gq.read_report, "{" + _SCHEMA + ', "pass": true, "suite": 3, "config": {}, "trials": [],'
                      ' "aggregate": {}, "fitted": {}, "artifact_version": "1.0.0"}'),
-    (gq.load_problem, "2 2\n1 0\n0 1\nrhs 1 2 3\nobjective 1 1\n"),  # rhs too long
 ])
 def test_loaders_name_the_file_for_malformed_content(tmp_path, loader, text):
     path = tmp_path / "input"
@@ -450,5 +448,20 @@ def test_threads_env_fallback(monkeypatch, tmp_path):
     from genquot.cli import _default_threads
     monkeypatch.setenv("GENQUOT_THREADS", "3")
     assert _default_threads() == 3
-    monkeypatch.setenv("GENQUOT_THREADS", "junk")
-    assert _default_threads() >= 1
+    for bad in ("junk", "0", "-2", "1.5"):
+        monkeypatch.setenv("GENQUOT_THREADS", bad)
+        with pytest.raises(gq.UsageError, match="GENQUOT_THREADS must be an integer >= 1"):
+            _default_threads()
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["--samples", "0"], None, "--samples must be >= 1, got 0"),
+    ([], "abc", "GENQUOT_THREADS must be an integer >= 1, got 'abc'"),
+])
+def test_verify_bad_samples_or_threads_env_exits_2(monkeypatch, capsys, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("GENQUOT_THREADS", env)
+    assert main(["verify", "lemmaA", "--seed", "1", "--trials", "1", *argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    # the config log line, then one message line
+    assert len(err) == 2 and err[1] == f"genquot: usage error: {message}"

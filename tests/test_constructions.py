@@ -50,13 +50,13 @@ class TestFindL1:
 
     def test_witness_reverifies_exactly(self):
         body = gq.make_body(25, 100, seed(104))
-        wit = gq.find_l1_subspace(body, k=2, seed=seed(104, 1), iso_samples=200)
+        wit = gq.find_l1_subspace(body, k=2, seed=seed(104, 1))
         devs = gq.verify_witness(body, wit)
         assert max(devs.values()) <= 1e-9
 
     def test_witness_roundtrip(self, tmp_path):
         body = gq.make_body(25, 100, seed(105))
-        wit = gq.find_l1_subspace(body, k=2, seed=seed(105, 1), iso_samples=200)
+        wit = gq.find_l1_subspace(body, k=2, seed=seed(105, 1))
         path = tmp_path / "wit.json"
         gq.save_witness(wit, path)
         loaded = gq.load_witness(path)
@@ -149,7 +149,6 @@ class TestFindL2:
         loaded = gq.load_witness(path)
         assert loaded.subspace.basis.tobytes() == wit.subspace.basis.tobytes()
         assert loaded.distortion == wit.distortion
-        assert loaded.section_samples == wit.section_samples
         assert max(gq.verify_witness(body, loaded).values()) <= 1e-9
 
 
@@ -226,3 +225,74 @@ class TestDispatcher:
         kind, wit = gq.corollary_dispatch(body, seed(140, 1))
         assert kind == "l1"
         assert wit.k >= 1
+
+    def test_stray_keyword_is_type_error_on_both_branches(self):
+        for body, kind in ((gq.make_body(4, 64, seed(3)), "l2"),
+                           (gq.make_body(36, 48, seed(140)), "l1")):
+            assert gq.corollary_dispatch(body, seed(3, 1))[0] == kind
+            with pytest.raises(TypeError):
+                gq.corollary_dispatch(body, seed(3, 1), retries=4)
+
+
+# Witness files written before the sample counts became fixed carry them as
+# constants (iso_samples 1000, section_samples 256); they still load and
+# re-verify. kind: (body dims, body seed, file payload)
+_OLD_FORMAT_WITNESSES = {
+    "l1": ((8, 16), 1, {
+        "kind": "l1", "indices": [1, 2], "seed": {"master_seed": 1, "stream_index": 3},
+        "basis": ("8 2\n"
+                  "0.14775448357672172 -0.18783131486360782\n"
+                  "0.097384957341284523 -0.20446812140345486\n"
+                  "-0.0037625734796018348 0.31893022725820047\n"
+                  "0.28365806814389688 -0.53229903470247053\n"
+                  "0.23178525264084474 0.59083199622160354\n"
+                  "0.83290625195316226 0.0096351796545997119\n"
+                  "0.069725488207538613 -0.37468017290334932\n"
+                  "0.36863241107378375 0.21975649221157489\n"),
+        "constants": {
+            "compl_constant": 1.2249038871436975,
+            "iso_constant": 1.0000000000000009,
+            "iso_samples": 1000,
+            "max_leak": 0.6854703751455152,
+            "sigma_min": 0.9368484110099385,
+        },
+    }),
+    "l2": ((4, 64), 3, {
+        "kind": "l2", "indices": [], "seed": {"master_seed": 3, "stream_index": 1},
+        "basis": ("4 2\n"
+                  "-0.58012486442946365 -0.53716841108101199\n"
+                  "0.11315675625081667 0.69034649156399619\n"
+                  "-0.19178099655648964 0.078341275509572178\n"
+                  "0.78349903608446736 -0.47826192015831187\n"),
+        "constants": {
+            "compl_constant": 1.2165184495229986,
+            "distortion": 1.2293436068655548,
+            "max_gauge": 1.1209939541601175,
+            "min_gauge": 0.9118638173246817,
+            "proj_image_radius": 1.2464847019896437,
+            "section_samples": 256,
+        },
+    }),
+}
+
+
+@pytest.mark.parametrize("kind", _OLD_FORMAT_WITNESSES)
+def test_old_format_witness_loads_and_reverifies(tmp_path, kind):
+    (n, big_n), body_seed, payload = _OLD_FORMAT_WITNESSES[kind]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    wit = gq.load_witness(path)
+    assert max(gq.verify_witness(gq.make_body(n, big_n, seed(body_seed)), wit).values()) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", _OLD_FORMAT_WITNESSES)
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_witness_constant_is_io_error(tmp_path, kind, token):
+    payload = _OLD_FORMAT_WITNESSES[kind][2]
+    key = "distortion" if kind == "l2" else "iso_constant"
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps({**payload, "constants": {**payload["constants"], key: float(token)}}))
+    assert token in path.read_text()
+    with pytest.raises(gq.IoError, match=f"{key}' must be a finite number") as err:
+        gq.load_witness(path)
+    assert err.value.path == str(path)

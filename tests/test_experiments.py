@@ -33,20 +33,8 @@ class TestFitConstant:
     def test_exact_exp_decay(self):
         xs = np.arange(1, 8, dtype=float)
         pts = [(x, np.exp(-0.3 * x)) for x in xs]
-        fit = gq.fit_constant(pts, "exp_decay")
+        fit = gq.fit_constant(pts)
         assert fit.constant == pytest.approx(0.3, abs=1e-9)
-        assert fit.residual == pytest.approx(0.0, abs=1e-12)
-
-    def test_exact_power(self):
-        pts = [(x, 5.0 * x ** -0.5) for x in (1.0, 2.0, 4.0, 9.0)]
-        fit = gq.fit_constant(pts, "power")
-        assert fit.constant == pytest.approx(5.0, abs=1e-9)
-        assert fit.exponent == pytest.approx(-0.5, abs=1e-9)
-
-    def test_sqrt_ratio(self):
-        pts = [(x, 1.7 * np.sqrt(x)) for x in (0.5, 2.0, 8.0)]
-        fit = gq.fit_constant(pts, "sqrt_ratio")
-        assert fit.constant == pytest.approx(1.7, abs=1e-12)
         assert fit.residual == pytest.approx(0.0, abs=1e-12)
 
     def test_noisy_decay_recovers_truth(self):
@@ -54,20 +42,18 @@ class TestFitConstant:
         true_c = 0.42
         xs = np.arange(1.0, 30.0)
         ys = np.exp(-true_c * xs) * np.exp(rng.normal(0, 0.05, size=xs.size))
-        fit = gq.fit_constant(list(zip(xs, ys)), "exp_decay")
+        fit = gq.fit_constant(list(zip(xs, ys)))
         # least-squares slope error ~ sigma / (sqrt(n) * std(x))
         assert abs(fit.constant - true_c) <= 3 * 0.05 / (np.sqrt(xs.size) * np.std(xs))
         assert fit.residual > 0
 
     def test_degenerate_data(self):
         with pytest.raises(gq.FitError):
-            gq.fit_constant([(1.0, 2.0)], "exp_decay")
+            gq.fit_constant([(1.0, 2.0)])
         with pytest.raises(gq.FitError):
-            gq.fit_constant([(1.0, 0.0), (2.0, 1.0)], "exp_decay")
+            gq.fit_constant([(1.0, 0.0), (2.0, 1.0)])
         with pytest.raises(gq.FitError):
-            gq.fit_constant([(1.0, 1.0), (1.0, 2.0)], "power")
-        with pytest.raises(gq.UsageError):
-            gq.fit_constant([(1.0, 1.0), (2.0, 2.0)], "nosuch")
+            gq.fit_constant([(1.0, 1.0), (1.0, 2.0)])
 
 
 class TestSuiteConfig:

@@ -147,32 +147,6 @@ class TestCertificates:
         assert abs(junk.objective_value - cold.objective_value) <= 1e-10 * (1 + abs(cold.objective_value))
 
 
-def test_dump_and_load_problem(tmp_path):
-    rng = np.random.default_rng(31)
-    p = lp(rng.normal(size=(3, 5)), rng.normal(size=3), rng.normal(size=5))
-    path = tmp_path / "problem.lp"
-    gq.dump_problem(p, path)
-    q = gq.load_problem(path)
-    assert q.constraint_matrix.tobytes() == p.constraint_matrix.tobytes()
-    assert q.rhs.tobytes() == p.rhs.tobytes()
-    assert q.objective.tobytes() == p.objective.tobytes()
-    with pytest.raises(gq.IoError):
-        gq.load_problem(tmp_path / "missing.lp")
-
-
-@pytest.mark.parametrize("text, detail", [
-    ("1 2\n1 0\nrhs x\nobjective 1 1\n", "rhs record has a non-numeric entry"),
-    ("1 2\n1 y\nrhs 1\nobjective 1 1\n", "row 0 has a non-numeric entry"),
-], ids=["bad-rhs", "bad-matrix-row"])
-def test_load_problem_bad_entry_is_io_error_naming_file(tmp_path, text, detail):
-    path = tmp_path / "bad.lp"
-    path.write_text(text)
-    with pytest.raises(gq.IoError) as err:
-        gq.load_problem(path)
-    assert err.value.path == str(path)
-    assert detail in err.value.message
-
-
 # Golden pivot paths. The pivot loop must choose the same entering and leaving
 # columns and report the same floats on fixed inputs, whatever its numpy
 # calls look like. Each case drives one branch of the loop: Dantzig pricing

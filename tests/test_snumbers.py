@@ -243,7 +243,7 @@ class TestHsBound:
 
     def test_rank_one(self):
         body = gq.make_body(3, 12, seed(90))
-        u = gq.gaussian_vector(3, 1.0, seed(90, 1))
+        u = gq.gaussian_matrix(3, 1, 1.0, seed(90, 1))[:, 0]
         t = np.outer(body.gamma[:, 0], u)
         hs, bound, ok = gq.hs_of_normalized(body, t)
         assert ok
