@@ -8,13 +8,16 @@ function max_j |<g_j, u>|, a plain matrix product.
 
 For low dimensions the convex hull of {+-g_j} (one Qhull call per body)
 gives the exact volume of B and, through its facets, the vertices of the
-polar body, so a batch of gauges is a single max of inner products. Both
-gauge routes agree to LP tolerance and are cross-checked in the test suite.
+polar body, so a batch of gauges is a single max of inner products and the
+inradius is exact (the polar vertex of largest norm). Both gauge routes
+agree to LP tolerance and are cross-checked in the test suite.
 Above that dimension a batch of gauges (body_norm_many) is one phase-2
 simplex run over all its right-hand sides in lock-step: the LPs share
 [Gamma, -Gamma] and the cost vector, so each pivot step is a few matrix
 products over the whole batch, and every row starts from a feasible crash
-basis, so none runs phase 1.
+basis, so none runs phase 1. The inradius estimate there walks the edges of
+the polar body from the dual vertex of a gauge LP to a locally farthest
+vertex; sigma_min(Gamma) / sqrt(N) is a certified floor under it.
 
 Bodies are immutable after construction; every operation here is a read-only
 pure function (Monte Carlo ones of their SeedSpec too) and safe to call from
@@ -63,21 +66,30 @@ _LOCKSTEP_ROWS = 512  # body_norm_many: rows per lock-step batch (bounds its mem
 _GAUGE_PRICE_TOL = 2e-9  # solve_lp's pricing tolerance 1e-9 * (1 + max|c|) at c = 1
 _INVERSE_RESIDUAL = 1e-8  # a basis inverse missing the identity by more is unusable
 VOLUME_DIM_CAP = 8
+_DESCENT_STEPS = 100  # radii: subgradient steps per restart before the polar walk
 
 
 @dataclass(frozen=True)
 class RandomQuotientBody:
-    """Immutable body data: Gamma, its provenance seed, cached column norms."""
+    """Immutable body data: Gamma, its provenance seed, cached column norms
+    and its smallest singular value."""
 
     n: int
     N: int
     gamma: np.ndarray
     seed: SeedSpec
     column_norms: np.ndarray
+    sigma_min: float
 
     @cached_property
     def circumradius(self) -> float:
         return float(self.column_norms.max())
+
+    @cached_property
+    def inradius_floor(self) -> float:
+        """sigma_min(Gamma) / sqrt(N), a certified lower bound on the inradius:
+        for unit u, max_j |<g_j, u>| >= |Gamma^T u|_2 / sqrt(N) >= sigma_min / sqrt(N)."""
+        return self.sigma_min / math.sqrt(self.N)
 
     @cached_property
     def hull(self):
@@ -109,11 +121,12 @@ class RandomQuotientBody:
 
 @dataclass(frozen=True)
 class RadiiEstimate:
-    """Exact circumradius and a multi-start upper estimate of the inradius.
+    """Exact circumradius and an upper estimate of the inradius.
 
-    inradius_estimate is the smallest support-function value found, which can
-    only overestimate the true inradius; certificate_direction is the unit
-    vector achieving it.
+    inradius_estimate is the support-function value along the unit vector
+    certificate_direction, which can only overestimate the true inradius:
+    exact up to dimension _HULL_DIM_CAP, a locally farthest polar vertex
+    above (see radii).
     """
 
     circumradius: float
@@ -142,7 +155,7 @@ def body_from_matrix(gamma, seed: SeedSpec = SeedSpec(0, 0)) -> RandomQuotientBo
             f"(n={n}, N={N}, seed={seed.as_tuple()})"
         )
     norms = np.linalg.norm(g, axis=0)
-    return RandomQuotientBody(n=n, N=N, gamma=g, seed=seed, column_norms=norms)
+    return RandomQuotientBody(n=n, N=N, gamma=g, seed=seed, column_norms=norms, sigma_min=smin)
 
 
 # Gauge LP labels: global label j < N is the column +g_j and N + j is -g_j, the
@@ -505,24 +518,104 @@ def _inradius_descent(body: RandomQuotientBody, restarts: int, seed: SeedSpec,
     return float(np.max(np.abs(direction @ body.gamma))), direction
 
 
-def radii(body: RandomQuotientBody, restarts: int = 64, seed: SeedSpec | None = None) -> RadiiEstimate:
-    """Circumradius (exact) and inradius estimate (multi-start minimization).
+def _polar_walk(body: RandomQuotientBody, u: np.ndarray) -> np.ndarray:
+    """A locally farthest vertex w of the polar body P = {w : |Gamma^T w| <= 1}.
 
-    n <= 2 is exact, from the hull's polar facets: the polar vertex w of
-    largest norm gives the nearest facet, at distance 1/|w| along w/|w|.
-    Higher dimensions use projected subgradient descent on the support
-    function over the sphere and report the best value found, an upper bound
-    on the true inradius.
+    The start is the optimal dual y of u's gauge LP, a vertex of P with
+    |y| >= <u/|u|, y> = ||u||_B / |u|; its basis labels give the n tight
+    rows, A w = 1, and the n edges of P at w are the columns of D = -A^-1.
+    Each step runs the ratio test of every edge over all 2N constraints at
+    once, through Gamma^T D (N x n), and moves to the edge end of largest
+    norm; the walk stops when no end is farther by a relative 1e-12. D and
+    Gamma^T D follow the pivots by rank-1 (Sherman-Morrison) updates, the row
+    of the entering constraint being a row of Gamma^T D, and are refactored
+    every _REFACTOR_EVERY pivots. After _ITER_CAP * n pivots the walk ends
+    where it is; on a numerically singular basis or a non-finite step it
+    returns the start. Maximizing a norm over a polytope is NP-hard
+    (Mangasarian and Shiau 1986): the result is a local maximum only.
+    """
+    sol = _gauge_lp(body, u)
+    cols = sol.basis % body.N
+    signs = np.where(sol.basis < body.N, 1.0, -1.0)
+    at = np.arange(body.n)
+    start = sol.dual_point
+    for pivot in range(_ITER_CAP * body.n + 1):
+        if pivot % _REFACTOR_EVERY == 0:
+            inv, usable = _inverses((signs * body.gamma[:, cols]).T[None])
+            if not usable[0]:
+                return start
+            d = -inv[0]
+            q = body.gamma.T @ d  # <g_j, d_i>
+            w = -d.sum(axis=1)  # A^-1 1
+            p = w @ body.gamma
+        # edge i reaches |<g_j, w + t d_i>| = 1 at t = (1 - sign(q_ji) p_j) / |q_ji|,
+        # and never where q_ji = 0 (t = 1 / 0 = inf)
+        ratios = np.sign(q)
+        ratios *= p[:, None]
+        np.subtract(1.0, ratios, out=ratios)
+        np.maximum(ratios, 0.0, out=ratios)
+        with np.errstate(divide="ignore"):
+            ratios /= np.abs(q)
+        own = ratios[cols, at]  # edge i meets its own row's opposite face
+        ratios[cols] = np.inf  # the other tight rows stay tight along edge i
+        ratios[cols, at] = own
+        j = ratios.argmin(axis=0)
+        t = ratios[j, at]
+        gain = t * (2.0 * (w @ d) + t * np.einsum("ij,ij->j", d, d))  # |w + t d_i|^2 - |w|^2
+        i = int(np.argmax(gain))
+        w_sq = float(w @ w)
+        if not np.isfinite(gain[i]):
+            return start
+        if w_sq + gain[i] <= w_sq * (1.0 + 1e-12) ** 2:
+            break
+        k = int(j[i])
+        sign = math.copysign(1.0, q[k, i])
+        w = w + t[i] * d[:, i]
+        p = p + t[i] * q[:, i]
+        row = -sign * q[k]  # a^T A^-1 for the entering row a = sign * g_k
+        row[i] -= 1.0
+        row /= -sign * q[k, i]
+        d -= np.outer(d[:, i], row)
+        q -= np.outer(q[:, i], row)
+        cols[i], signs[i] = k, sign
+    return w
+
+
+def _walked_inradius(body: RandomQuotientBody, restarts: int,
+                     seed: SeedSpec) -> tuple[float, np.ndarray]:
+    """Support value and unit direction of a locally farthest polar vertex,
+    walked from the best direction of a _DESCENT_STEPS-step descent; never
+    above that descent's value."""
+    value, u = _inradius_descent(body, restarts, seed, steps=_DESCENT_STEPS)
+    w = _polar_walk(body, u)
+    walked = w / np.linalg.norm(w)
+    walked_value = dual_norm(body, walked)
+    return (walked_value, walked) if walked_value < value else (value, u)
+
+
+def radii(body: RandomQuotientBody, restarts: int = 64, seed: SeedSpec | None = None) -> RadiiEstimate:
+    """Circumradius (exact) and an upper estimate of the inradius.
+
+    The inradius is r = 1 / max{|w| : w in P} over the polar body
+    P = {w : |Gamma^T w| <= 1}, whose farthest point is a vertex w: the
+    nearest facet of B is at distance 1/|w| along w/|w|. Up to dimension
+    _HULL_DIM_CAP that vertex is read off the hull's polar facets, and r is
+    exact. Above, projected subgradient descent on the support function over
+    the sphere (restarts starts, _DESCENT_STEPS steps each) gives a direction
+    u, and _polar_walk climbs from the dual vertex of u's gauge LP to a
+    locally farthest vertex; the estimate is the support value along it (or
+    along u, if that is smaller), an upper bound on r. A seed is required
+    for n >= 3 on either route.
     """
     if restarts < 1:
         raise UsageError("restarts must be >= 1")
-    if body.n <= 2:
+    if body.n >= 3 and seed is None:
+        raise UsageError("radii requires a SeedSpec for n >= 3 (stochastic restarts)")
+    if body.n <= _HULL_DIM_CAP:
         w = body.polar_vertices[np.argmax(np.linalg.norm(body.polar_vertices, axis=1))]
         u = w / np.linalg.norm(w)
         return RadiiEstimate(body.circumradius, dual_norm(body, u), u)
-    if seed is None:
-        raise UsageError("radii requires a SeedSpec for n >= 3 (stochastic restarts)")
-    val, u = _inradius_descent(body, restarts, seed)
+    val, u = _walked_inradius(body, restarts, seed)
     return RadiiEstimate(body.circumradius, val, u)
 
 

@@ -115,7 +115,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--body", required=True)
     p.add_argument("--matrix", required=True)
 
-    p = add("radii", help="circumradius and inradius estimate")
+    p = add("radii", help="circumradius, inradius estimate and certified floor")
     p.add_argument("--body", required=True)
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--seed", type=_parse_seed, required=True)
@@ -255,6 +255,7 @@ def _cmd_radii(args) -> int:
     est = radii(body, restarts=args.restarts, seed=_seed_of(args))
     print(f"circumradius {est.circumradius:.12g}")
     print(f"inradius_estimate {est.inradius_estimate:.12g}")
+    print(f"inradius_floor {body.inradius_floor:.12g}")
     print("certificate_direction " + " ".join(format(v, ".12g") for v in est.certificate_direction))
     return 0
 

@@ -112,6 +112,8 @@ class SuiteConfig:
         object.__setattr__(self, "size_grid", tuple(tuple(int(v) for v in c) for c in self.size_grid))
         if not self.size_grid:
             raise UsageError("size_grid needs at least one cell")
+        if _SUITES[self.suite_id].samples and self.samples < 1:
+            raise UsageError(f"suite {self.suite_id!r} needs samples >= 1, got {self.samples}")
 
     def threshold(self, key: str) -> float:
         if key in self.thresholds:
@@ -362,6 +364,7 @@ def _radii_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> di
         "cell": _cell_label(cell), "k": k, "N": big_n, "trial": t,
         "stream": sd.stream_index,
         "inradius": est.inradius_estimate,
+        "inradius_floor": body.inradius_floor,
         "circumradius": est.circumradius,
     }
 

@@ -4,7 +4,7 @@ Euclidean s-numbers are singular values (and coincide with Gelfand numbers
 between Euclidean spaces). On the quotient norm the Gelfand infimum over
 subspaces is intractable, so operators get a certified-style *bracket*
 obtained from the Euclidean sandwich r D <= B <= R D: both ends carry honesty
-flags because the inradius r is itself a multi-start estimate. The shift
+flags because the inradius r is itself an upper estimate above n = 6. The shift
 search scans T - lambda*Id over a window sized by the operator norm, using
 the Euclidean s-number as proxy objective, and reports the best shift with
 its bracket.
@@ -38,6 +38,7 @@ __all__ = [
 
 _CERT_SAMPLES = 64
 _GRID_POINTS = 201  # shift-search grid size (min_over_shifts' default)
+_STACK_ENTRIES = 1 << 15  # matrix entries per stacked SVD of shifted operators (bounds its memory)
 _RADII_STREAM_OFFSET = 0x5EED_0001  # derived stream for on-demand radii
 
 
@@ -163,8 +164,22 @@ def gelfand_bracket(body: RandomQuotientBody, t, k: int, dual: bool = False,
                           upper_certificate=cert)
 
 
-def _shift_scan(value_of: Callable[[float], float], window: float,
+def _shifted_singular_values(t: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Singular values of t - lam*Id, one row per shift lam, from stacked SVDs
+    of at most _STACK_ENTRIES matrix entries each: at small n one call per
+    shift costs more in call overhead than the decomposition itself. The
+    values are the bytes of one np.linalg.svd call per shift."""
+    eye = np.eye(t.shape[0])
+    block = max(1, _STACK_ENTRIES // t.size)
+    return np.concatenate([np.linalg.svd(t - lams[lo:lo + block, None, None] * eye,
+                                         compute_uv=False)
+                           for lo in range(0, lams.size, block)])
+
+
+def _shift_scan(values_of: Callable[[np.ndarray], np.ndarray], window: float,
                 grid_points: int, extra: tuple[float, ...]) -> tuple[float, float, tuple]:
+    """Grid scan of values_of (the proxy at each shift of an array) and
+    golden-section refinement, one shift per call, around the best grid point."""
     if grid_points < 2:
         raise UsageError(f"shift search needs grid_points >= 2, got {grid_points}")
     lams = list(np.linspace(-window, window, grid_points))
@@ -172,15 +187,15 @@ def _shift_scan(value_of: Callable[[float], float], window: float,
         if -window <= lam <= window and lam not in lams:
             lams.append(lam)
     lams.sort()
-    grid = tuple((float(lam), float(value_of(lam))) for lam in lams)
-    vals = np.array([v for _, v in grid])
+    vals = values_of(np.array(lams))
+    grid = tuple((float(lam), float(v)) for lam, v in zip(lams, vals))
     i = int(np.argmin(vals))
     best_shift, best_value = grid[i]
     # bracket by the regular spacing: an extra shift may sit a rounding error
     # away from a grid point, and its neighbour would collapse the bracket
     span = 2.0 * window / (grid_points - 1)
     lo, hi = max(best_shift - span, -window), min(best_shift + span, window)
-    gx, gv = golden_min(value_of, lo, hi)
+    gx, gv = golden_min(lambda lam: float(values_of(np.array([lam]))[0]), lo, hi)
     if gv < best_value:
         best_shift, best_value = float(gx), float(gv)
     return best_shift, best_value, grid
@@ -207,11 +222,11 @@ def min_over_shifts(body: RandomQuotientBody, t, k: int, grid_points: int = _GRI
     q = operator_norm(body, tm) if opnorm is None else float(opnorm)
     eye = np.eye(body.n)
 
-    def value_of(lam: float) -> float:
-        return float(np.linalg.svd(tm - lam * eye, compute_uv=False)[k - 1])
+    def values_of(lams: np.ndarray) -> np.ndarray:
+        return _shifted_singular_values(tm, lams)[:, k - 1]
 
     trace_mean = float(np.trace(tm)) / body.n
-    best_shift, best_value, grid = _shift_scan(value_of, 2.0 * q, grid_points,
+    best_shift, best_value, grid = _shift_scan(values_of, 2.0 * q, grid_points,
                                                (0.0, trace_mean))
     bracket = gelfand_bracket(body, tm - best_shift * eye, k, rad=rad, cert_samples=0)
     return ShiftSearchResult(best_shift=best_shift, best_value=best_value,
@@ -239,10 +254,10 @@ def gelfand_sum_bracket(body: RandomQuotientBody, t, opnorm: float | None = None
                                 lower=0.0, upper=0.0)
     q0 = operator_norm(body, t0) if opnorm is None else float(opnorm)
 
-    def value_of(lam: float) -> float:
-        return float(np.linalg.svd(t0 - lam * eye, compute_uv=False).sum())
+    def values_of(lams: np.ndarray) -> np.ndarray:
+        return _shifted_singular_values(t0, lams).sum(axis=1)
 
-    rel_shift, best_sum, _ = _shift_scan(value_of, 2.0 * q0, _GRID_POINTS,
+    rel_shift, best_sum, _ = _shift_scan(values_of, 2.0 * q0, _GRID_POINTS,
                                          (0.0, -lam0))
     est = _body_radii(body, rad)
     ratio = est.inradius_estimate / est.circumradius

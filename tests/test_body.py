@@ -7,7 +7,7 @@ import pytest
 
 import genquot as gq
 
-from genquot.body import _gauge_lp, _inradius_descent, _unit_sphere
+from genquot.body import _gauge_lp, _inradius_descent, _unit_sphere, _walked_inradius
 from genquot import body as body_module, linprog
 from genquot.sampler import generator
 
@@ -383,6 +383,38 @@ class TestRadii:
         body = gq.make_body(3, 6, seed(50))
         with pytest.raises(gq.UsageError):
             gq.radii(body)
+
+    @pytest.mark.parametrize("n,big_n", [(3, 6), (3, 48), (4, 64), (5, 80), (6, 14), (6, 40)])
+    def test_floor_hull_walk_descent_order(self, n, big_n):
+        # sigma_min / sqrt(N) <= exact r (hull) <= walked estimate <= 64x500 descent
+        for i in range(2):
+            body = gq.make_body(n, big_n, seed(62, 10 * big_n + i))
+            sd = seed(63, 10 * big_n + i)
+            r_hull = float(np.min(-body.hull.equations[:, -1]))
+            est = gq.radii(body, seed=sd)
+            assert est.inradius_estimate == pytest.approx(r_hull, rel=1e-12)
+            assert est.inradius_estimate == gq.dual_norm(body, est.certificate_direction)
+            walked, direction = _walked_inradius(body, 64, sd)
+            assert walked == gq.dual_norm(body, direction)
+            descent = _inradius_descent(body, 64, sd, steps=500)[0]
+            assert body.inradius_floor <= r_hull * (1 + 1e-12)
+            assert r_hull <= walked * (1 + 1e-12)
+            assert walked <= descent
+
+    @pytest.mark.parametrize("n,big_n", [(36, 72), (36, 266)])
+    def test_walk_never_above_full_descent(self, n, big_n):
+        for i in range(2):
+            body = gq.make_body(n, big_n, seed(64, 10 * big_n + i))
+            sd = seed(65, 10 * big_n + i)
+            est = gq.radii(body, seed=sd)
+            assert est.inradius_estimate == gq.dual_norm(body, est.certificate_direction)
+            assert body.inradius_floor <= est.inradius_estimate
+            assert est.inradius_estimate <= _inradius_descent(body, 64, sd, steps=500)[0]
+
+    def test_floor_is_smallest_singular_value_over_sqrt_n(self):
+        body = gq.make_body(5, 30, seed(66))
+        smin = np.linalg.svd(body.gamma, compute_uv=False)[-1]
+        assert body.inradius_floor == pytest.approx(smin / np.sqrt(30), rel=1e-12)
 
     @pytest.mark.parametrize("n,big_n", [(3, 48), (16, 118), (36, 266)])
     def test_descent_bit_identical_to_plain_loop(self, n, big_n):

@@ -68,6 +68,15 @@ class TestSuiteConfig:
         with pytest.raises(gq.UsageError, match="size_grid"):
             gq.default_config(suite, master_seed=0, size_grid=())
 
+    @pytest.mark.parametrize("suite", ["lemmaA", "fact31"])
+    def test_sampled_suite_needs_samples(self, suite):
+        with pytest.raises(gq.UsageError, match="samples"):
+            SuiteConfig(suite_id=suite, trials=1, master_seed=1, size_grid=((10,),))
+        assert SuiteConfig(suite_id=suite, trials=1, master_seed=1, size_grid=((10,),),
+                           samples=1).samples == 1
+        assert SuiteConfig(suite_id="corC", trials=1, master_seed=1,
+                           size_grid=((4, 8),)).samples == 0
+
     def test_missing_calibrated_threshold(self):
         cfg = tiny("prop41")
         with pytest.raises(gq.UsageError):

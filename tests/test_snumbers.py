@@ -148,6 +148,15 @@ class TestMinOverShifts:
         assert shifted.bracket_at_best.lower == pytest.approx(base.bracket_at_best.lower, abs=1e-9)
         assert shifted.bracket_at_best.upper == pytest.approx(base.bracket_at_best.upper, abs=1e-9)
 
+    @pytest.mark.parametrize("grid_points", [201, 601])  # at n = 8: one stacked SVD, then two
+    def test_grid_bytes_match_per_shift_svd(self, grid_points):
+        body = gq.make_body(8, 16, seed(84))
+        t = gq.gaussian_matrix(8, 8, 1.0, seed(84, 1))
+        res = gq.min_over_shifts(body, t, k=4, grid_points=grid_points, opnorm=3.0)
+        assert len(res.grid) >= grid_points
+        for lam, value in res.grid:
+            assert value == float(np.linalg.svd(t - lam * np.eye(8), compute_uv=False)[3])
+
     def test_zero_operator_rejected(self):
         body = gq.make_body(3, 6, seed(83))
         with pytest.raises(gq.UsageError):
