@@ -301,17 +301,36 @@ def _inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, regular & (residual <= _INVERSE_RESIDUAL)
 
 
+def _crash_bases(body: RandomQuotientBody, pts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Crash start of the gauge LP of each row x of pts: the n columns with
+    the largest |<x, g_j>| / ||g_j||, labelled j or N + j as x's coefficient
+    on g_j is >= 0 or < 0 (with solve_lp's perturbed RHS), so that the basis
+    is primal feasible, as in _max_gauge's warm starts.
+
+    Returns the labels, the inverses of the basis matrices, the basic values,
+    the perturbed RHS rows and a mask of the rows whose basis matrix is
+    usable (_inverses).
+    """
+    sign = np.where(pts < 0, -1.0, 1.0)
+    xp = sign * _perturbed(pts * sign)
+    corr = np.abs(pts @ body.gamma) / body.column_norms
+    cols = np.sort(np.argpartition(-corr, body.n - 1, axis=1)[:, :body.n], axis=1)
+    inv, usable = _inverses(np.ascontiguousarray(body.gamma.T)[cols].transpose(0, 2, 1))
+    coeffs = (inv @ xp[:, :, None])[:, :, 0]
+    labels = np.where(coeffs >= 0, cols, cols + body.N)
+    binv = inv * np.where(coeffs >= 0, 1.0, -1.0)[:, :, None]
+    return labels, binv, np.abs(coeffs), xp, usable
+
+
 def _lockstep_gauges(body: RandomQuotientBody, pts: np.ndarray) -> np.ndarray:
     """Gauges of the nonzero rows of pts by one phase-2 simplex run over all
     of them at once; NaN for each row that _gauge_lp must solve instead.
 
     Every row solves the full LP [Gamma, -Gamma] t = x (with solve_lp's
-    perturbed RHS) from a crash basis: the n columns with the largest
-    |<x, g_j>| / ||g_j||, sign-flipped to be primal feasible as in
-    _max_gauge. The pivots follow solve_lp's phase 2: Dantzig pricing, the
-    _PIV_TOL ratio test with ties to the smallest basis label, rank-1
-    updates of each basis inverse and a refactor every _REFACTOR_EVERY
-    pivots. The duals y = B^-T 1 of all live rows price in one matrix
+    perturbed RHS) from its _crash_bases start. The pivots follow solve_lp's
+    phase 2: Dantzig pricing, the _PIV_TOL ratio test with ties to the
+    smallest basis label, rank-1 updates of each basis inverse and a
+    refactor every _REFACTOR_EVERY pivots. The duals y = B^-T 1 of all live rows price in one matrix
     product; a row leaves the batch once it is optimal. An optimal basis
     passes solve_lp's closing certificate (certify_basis) and a check that
     the certified dual is feasible, |<g_j, y>| <= 1 + tol for every j; its
@@ -323,17 +342,9 @@ def _lockstep_gauges(body: RandomQuotientBody, pts: np.ndarray) -> np.ndarray:
     """
     n, big_n = body.n, body.N
     gamma_t = np.ascontiguousarray(body.gamma.T)
-    sign = np.where(pts < 0, -1.0, 1.0)
-    xp = sign * _perturbed(pts * sign)
-    corr = np.abs(pts @ body.gamma) / body.column_norms
-    cols = np.sort(np.argpartition(-corr, n - 1, axis=1)[:, :n], axis=1)
-    inv, usable = _inverses(gamma_t[cols].transpose(0, 2, 1))
-    coeffs = (inv @ xp[:, :, None])[:, :, 0]
+    basis, binv, xb, xp, usable = _crash_bases(body, pts)
     rows = np.flatnonzero(usable)  # the input row of each live row
-    basis = np.where(coeffs >= 0, cols, cols + big_n)[rows]
-    binv = (inv * np.where(coeffs >= 0, 1.0, -1.0)[:, :, None])[rows]
-    xb = np.abs(coeffs[rows])
-    xp = xp[rows]
+    basis, binv, xb, xp = basis[rows], binv[rows], xb[rows], xp[rows]
     streak = np.zeros(rows.size, dtype=np.int64)
     optimal: list[tuple[int, np.ndarray]] = []
     ones_n = np.ones(n)
@@ -470,9 +481,28 @@ def max_gauge_in_span(body: RandomQuotientBody, basis: np.ndarray,
     operator_norm) gives the exact maximum with LP objectives.
     """
     if basis.shape[1] == 1:
-        coeffs = basis[:, 0] @ points.T
-        return float(np.max(np.abs(coeffs)) * body_norm(body, basis[:, 0]))
+        return _max_on_line(basis[:, 0], points, body_norm(body, basis[:, 0]))
     return _max_gauge(body, points)
+
+
+def _max_on_line(unit: np.ndarray, points: np.ndarray, gauge: float) -> float:
+    """max gauge over points (rows) on the line of the unit vector `unit`,
+    given gauge = ||unit||_B: the gauge is homogeneous, ||c unit||_B = |c| gauge."""
+    return float(np.max(np.abs(unit @ points.T)) * gauge)
+
+
+def _ray_gauges(body: RandomQuotientBody, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """||x||_B and ||y||_B for a nonzero x and a positive multiple y of it.
+
+    x's gauge LP is solved from a cold start and y's from x's optimal basis.
+    Reduced costs do not depend on the right-hand side and the basic values
+    scale with it, so that basis stays optimal for every positive multiple
+    of x (RHS sensitivity): y's solve makes no pivots and still ends in
+    solve_lp's closing certificate. solve_lp falls back to phase 1 if
+    rounding leaves the basis unusable for y.
+    """
+    sol = _gauge_lp(body, x)
+    return float(sol.objective_value), float(_gauge_lp(body, y, sol.basis).objective_value)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +551,8 @@ def _inradius_descent(body: RandomQuotientBody, restarts: int, seed: SeedSpec,
 def _polar_walk(body: RandomQuotientBody, u: np.ndarray) -> np.ndarray:
     """A locally farthest vertex w of the polar body P = {w : |Gamma^T w| <= 1}.
 
-    The start is the optimal dual y of u's gauge LP, a vertex of P with
+    The start is the optimal dual y of u's gauge LP (solved from its
+    _crash_bases start, not through phase 1), a vertex of P with
     |y| >= <u/|u|, y> = ||u||_B / |u|; its basis labels give the n tight
     rows, A w = 1, and the n edges of P at w are the columns of D = -A^-1.
     Each step runs the ratio test of every edge over all 2N constraints at
@@ -534,7 +565,8 @@ def _polar_walk(body: RandomQuotientBody, u: np.ndarray) -> np.ndarray:
     returns the start. Maximizing a norm over a polytope is NP-hard
     (Mangasarian and Shiau 1986): the result is a local maximum only.
     """
-    sol = _gauge_lp(body, u)
+    labels, _, _, _, usable = _crash_bases(body, u[None])
+    sol = _gauge_lp(body, u, labels[0] if usable[0] else None)
     cols = sol.basis % body.N
     signs = np.where(sol.basis < body.N, 1.0, -1.0)
     at = np.arange(body.n)

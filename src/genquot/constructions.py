@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import RandomQuotientBody, body_norm, body_norm_many, max_gauge_in_span, section_distortion
+from .body import (RandomQuotientBody, _max_on_line, _ray_gauges, body_norm, body_norm_many,
+                   max_gauge_in_span, section_distortion)
 from .errors import ConditionFailed, IoError, UsageError
 from .linalg import (check_orthonormal, format_matrix, json_field, orthonormalize, parse_matrix,
                      read_json, write_text)
@@ -123,11 +124,6 @@ def _inverse_map_estimates(body: RandomQuotientBody, block: np.ndarray,
     """
     k = basis.shape[1]
     pinv = np.linalg.pinv(block)
-    if k == 1:
-        # both ratios are constant on a line: one evaluation suffices
-        x = basis[:, 0]
-        gauge = body_norm(body, x)
-        return 1.0 / gauge, float(np.abs(pinv @ x).sum()) / gauge
     rng = generator(seed)
     w = rng.normal(size=(_ISO_SAMPLES, k))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
@@ -191,12 +187,22 @@ def _measure_l1(body: RandomQuotientBody, a: np.ndarray, stream: SeedSpec,
         raise ConditionFailed("fin", f"max_leak {max_leak:.6g} > k^(-1/2) = {leak_cap:.6g}",
                               {"max_leak": max_leak, "threshold": leak_cap, "k": k})
 
-    u_norm = max(body_norm(body, body.gamma[:, j]) for j in a)
-    sup_ratio, inv_direct = _inverse_map_estimates(body, block, basis,
-                                                   stream.child(_ISO_STREAM_OFFSET))
+    if k == 1:
+        # E is the line of b = basis[:, 0] = g_a / |g_a|, where both inverse-map ratios are
+        # constant: one cold LP gives ||b||_B, for them and for the complementation
+        # constant max_j |<b, g_j>| ||b||_B; g_a's own LP starts at b's optimal basis
+        b = basis[:, 0]
+        line_gauge, u_norm = _ray_gauges(body, b, body.gamma[:, a[0]])
+        sup_ratio = 1.0 / line_gauge
+        inv_direct = float(np.abs(np.linalg.pinv(block) @ b).sum()) / line_gauge
+        compl = _max_on_line(b, (basis @ (basis.T @ body.gamma)).T, line_gauge)
+    else:
+        u_norm = max(body_norm(body, body.gamma[:, j]) for j in a)
+        sup_ratio, inv_direct = _inverse_map_estimates(body, block, basis,
+                                                       stream.child(_ISO_STREAM_OFFSET))
+        compl = complementation_norm(body, basis)
     inv_bound = min(np.sqrt(k) / sigma_min * sup_ratio, inv_direct)
     iso = max(1.0, u_norm * inv_bound)
-    compl = complementation_norm(body, basis)
     return L1Witness(index_set=tuple(int(j) for j in a), basis=basis,
                      sigma_min=sigma_min, max_leak=max_leak,
                      iso_constant=float(iso), compl_constant=compl, seed=stream)
@@ -242,7 +248,9 @@ def _measure_l2(body: RandomQuotientBody, sub: HaarSubspace, seed: SeedSpec) -> 
     seed.child(1); shared by the search and verify_witness."""
     max_g, min_g = section_distortion(body, sub, _SECTION_SAMPLES, seed.child(1))
     proj = sub.basis @ (sub.basis.T @ body.gamma)
-    compl = max_gauge_in_span(body, sub.basis, proj.T)
+    # on a line, max_g is the gauge of its unit basis vector
+    compl = (_max_on_line(sub.basis[:, 0], proj.T, max_g) if sub.dim == 1
+             else max_gauge_in_span(body, sub.basis, proj.T))
     radius = float(np.linalg.norm(proj, axis=0).max())
     return L2Witness(subspace=sub, distortion=max_g / min_g, max_gauge=max_g,
                      min_gauge=min_g, compl_constant=compl, proj_image_radius=radius,

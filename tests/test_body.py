@@ -7,7 +7,7 @@ import pytest
 
 import genquot as gq
 
-from genquot.body import _gauge_lp, _inradius_descent, _unit_sphere, _walked_inradius
+from genquot.body import _gauge_lp, _inradius_descent, _polar_walk, _unit_sphere, _walked_inradius
 from genquot import body as body_module, linprog
 from genquot.sampler import generator
 
@@ -415,6 +415,39 @@ class TestRadii:
         body = gq.make_body(5, 30, seed(66))
         smin = np.linalg.svd(body.gamma, compute_uv=False)[-1]
         assert body.inradius_floor == pytest.approx(smin / np.sqrt(30), rel=1e-12)
+
+    @pytest.mark.parametrize("n,big_n", [(16, 32), (25, 50), (36, 72), (16, 118), (16, 874),
+                                         (25, 185), (25, 1365), (36, 266), (36, 1966)])
+    def test_crash_started_walk_keeps_its_bytes(self, n, big_n, monkeypatch):
+        # the corC and lemmaD shapes above the hull cap: the walk's start LP from the
+        # crash basis ends where the cold start (phase 1) ends, in fewer pivots
+        pivots = []
+        solve = body_module.solve_lp
+
+        def solve_spy(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            pivots.append(sol.iterations)
+            return sol
+
+        crash_bases = body_module._crash_bases
+
+        def no_crash(b, pts):
+            *start, usable = crash_bases(b, pts)
+            return (*start, np.zeros_like(usable))
+
+        monkeypatch.setattr(body_module, "solve_lp", solve_spy)
+        for s in (100, 101):
+            body = gq.make_body(n, big_n, seed(s, n * big_n))
+            u = _inradius_descent(body, 64, seed(s, 1), steps=body_module._DESCENT_STEPS)[1]
+            pivots.clear()
+            crash = _polar_walk(body, u)
+            crash_pivots = sum(pivots)
+            pivots.clear()
+            with monkeypatch.context() as m:
+                m.setattr(body_module, "_crash_bases", no_crash)
+                cold = _polar_walk(body, u)
+            assert crash.tobytes() == cold.tobytes()
+            assert crash_pivots < sum(pivots)
 
     @pytest.mark.parametrize("n,big_n", [(3, 48), (16, 118), (36, 266)])
     def test_descent_bit_identical_to_plain_loop(self, n, big_n):

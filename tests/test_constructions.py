@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import genquot as gq
-from genquot.constructions import auto_l1_dim, auto_l2_dim
+from genquot import body as body_module
+from genquot.constructions import _measure_l1, auto_l1_dim, auto_l2_dim
 
-from conftest import angular_net_gauge_ratio, highs_max_gauge
+from conftest import angular_net_gauge_ratio, highs_gauges, highs_max_gauge
 
 
 def seed(i, j=0):
@@ -202,6 +203,71 @@ class TestComplementationNorm:
         body = gq.make_body(3, 6, seed(124))
         with pytest.raises(gq.UsageError):
             gq.complementation_norm(body, np.ones((3, 2)))
+
+
+class TestLineWitness:
+    """A witness on a line (k = 1 or h = 1) solves the line's gauge LP once."""
+
+    @pytest.mark.parametrize("n,big_n", [(16, 128), (24, 576), (36, 1296)])
+    def test_l1_line_makes_one_cold_solve(self, n, big_n, monkeypatch):
+        # 2N > 1024 is column generation: the line's cold LP then takes several
+        # solve_lp rounds, each later one warm-started over a larger column subset
+        body = gq.make_body(n, big_n, seed(130, n))
+        calls = []
+        solve = body_module.solve_lp
+
+        def spy(p, start_basis=None, cutoff=None):
+            sol = solve(p, start_basis, cutoff)
+            calls.append((p.rhs.tobytes(), start_basis is None, sol.iterations))
+            return sol
+
+        monkeypatch.setattr(body_module, "solve_lp", spy)
+        wit = _measure_l1(body, np.array([3]), seed(131, n))
+        line = wit.basis[:, 0].tobytes()
+        assert calls[0][:2] == (line, True)
+        assert [cold for _, cold, _ in calls].count(True) == 1
+        # solve_lp counts pricing passes: 1 is the pass that finds the start optimal, no pivot
+        column = [passes for rhs, _, passes in calls if rhs != line]
+        assert column and all(passes == 1 for passes in column)
+        calls.clear()
+        assert max(gq.verify_witness(body, wit).values()) == 0.0
+        assert [cold for _, cold, _ in calls].count(True) == 1  # measured again, from scratch
+
+    @pytest.mark.parametrize("n,big_n", [(16, 128), (24, 576)])
+    def test_l1_line_constants_against_highs(self, n, big_n):
+        body = gq.make_body(n, big_n, seed(132, n))
+        wit = gq.find_l1_subspace(body, k=1, seed=seed(133, n))
+        j, b = wit.index_set[0], wit.basis[:, 0]
+        line, column = highs_gauges(body.gamma, np.vstack([b, body.gamma[:, j]]))
+        inv_direct = float(np.abs(np.linalg.pinv(body.gamma[:, [j]]) @ b).sum()) / line
+        iso = max(1.0, column * min(1.0 / (wit.sigma_min * line), inv_direct))
+        assert wit.iso_constant == pytest.approx(iso, rel=1e-9)
+        # the projected column of largest length attains the complementation constant
+        top = int(np.argmax(np.abs(b @ body.gamma)))
+        image = b * (b @ body.gamma[:, top])
+        assert wit.compl_constant == pytest.approx(highs_gauges(body.gamma, image[None])[0],
+                                                   rel=1e-9)
+        assert max(gq.verify_witness(body, wit).values()) == 0.0
+
+    @pytest.mark.parametrize("n,big_n", [(9, 81), (16, 256)])
+    def test_l2_line_solves_one_gauge(self, n, big_n, monkeypatch):
+        body = gq.make_body(n, big_n, seed(134, n))
+        solved = []
+        gauge_lp = body_module._gauge_lp
+
+        def spy(b, x, start_basis=None, cutoff=None):
+            solved.append(x.tobytes())
+            return gauge_lp(b, x, start_basis, cutoff)
+
+        monkeypatch.setattr(body_module, "_gauge_lp", spy)
+        wit = gq.find_l2_subspace(body, h=1, seed=seed(135, n))
+        u = wit.subspace.basis[:, 0]
+        assert solved == [u.tobytes()]
+        top = int(np.argmax(np.abs(u @ body.gamma)))
+        image = u * (u @ body.gamma[:, top])
+        assert wit.compl_constant == pytest.approx(highs_gauges(body.gamma, image[None])[0],
+                                                   rel=1e-9)
+        assert max(gq.verify_witness(body, wit).values()) == 0.0
 
 
 class TestDispatcher:
