@@ -53,7 +53,6 @@ __all__ = [
     "mean_width",
     "volume_ratio",
     "section_distortion",
-    "max_gauge_in_span",
     "format_body",
     "parse_body",
     "save_body",
@@ -67,6 +66,7 @@ _GAUGE_PRICE_TOL = 2e-9  # solve_lp's pricing tolerance 1e-9 * (1 + max|c|) at c
 _INVERSE_RESIDUAL = 1e-8  # a basis inverse missing the identity by more is unusable
 VOLUME_DIM_CAP = 8
 _DESCENT_STEPS = 100  # radii: subgradient steps per restart before the polar walk
+_DESCENT_DECAY = 0.97  # radii: step-size factor per descent step
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def _gauge_lp(body: RandomQuotientBody, x: np.ndarray,
     start_basis (global labels, see above) is an optional warm start; the
     returned basis carries global labels too. With a cutoff the result may
     be solve_lp's "cutoff" verdict; a cut basis of a restricted LP is also
-    feasible for the full LP.
+    feasible for the full LP. iterations is the sum over all solve_lp rounds.
     """
     if 2 * body.N <= 1024:
         sol = solve_lp(LPProblem(constraint_matrix=body.plus_minus, rhs=x,
@@ -203,14 +203,16 @@ def _gauge_lp(body: RandomQuotientBody, x: np.ndarray,
     warm_labels = start_basis
     if warm_labels is not None:
         subset = np.union1d(subset, warm_labels % body.N)
+    iterations = 0
     for _ in range(60):
         start = (_restricted_labels(subset, warm_labels, body.N)
                  if warm_labels is not None else None)
         a = body.plus_minus[:, np.concatenate([subset, body.N + subset])]
         sol = solve_lp(LPProblem(constraint_matrix=a, rhs=x, objective=np.ones(2 * subset.size)),
                        start_basis=start, cutoff=cutoff)
+        iterations += sol.iterations
         if sol.status == "cutoff":
-            return LPSolution(status="cutoff", iterations=sol.iterations,
+            return LPSolution(status="cutoff", iterations=iterations,
                               basis=_global_labels(subset, sol.basis, body.N))
         if sol.status == "infeasible":
             if subset.size == body.N:
@@ -231,7 +233,7 @@ def _gauge_lp(body: RandomQuotientBody, x: np.ndarray,
             point[body.N + subset] = sol.point[ns:]
             return LPSolution(status="optimal", point=point,
                               objective_value=sol.objective_value,
-                              dual_point=sol.dual_point, iterations=sol.iterations,
+                              dual_point=sol.dual_point, iterations=iterations,
                               basis=warm_labels)
         worst = violated[np.argsort(-slack[violated], kind="stable")]
         subset = np.union1d(subset, worst[: max(body.n, 32)])
@@ -472,19 +474,6 @@ def operator_norm(body: RandomQuotientBody, t) -> float:
     return _max_gauge(body, (tm @ body.gamma).T)
 
 
-def max_gauge_in_span(body: RandomQuotientBody, basis: np.ndarray,
-                      points: np.ndarray) -> float:
-    """max gauge over points (rows) known to lie in span(basis).
-
-    A 1-dimensional span needs a single LP: gauge is homogeneous on a line.
-    Otherwise the pruned, warm-started maximum of _max_gauge (as in
-    operator_norm) gives the exact maximum with LP objectives.
-    """
-    if basis.shape[1] == 1:
-        return _max_on_line(basis[:, 0], points, body_norm(body, basis[:, 0]))
-    return _max_gauge(body, points)
-
-
 def _max_on_line(unit: np.ndarray, points: np.ndarray, gauge: float) -> float:
     """max gauge over points (rows) on the line of the unit vector `unit`,
     given gauge = ||unit||_B: the gauge is homogeneous, ||c unit||_B = |c| gauge."""
@@ -511,10 +500,8 @@ def _ray_gauges(body: RandomQuotientBody, x: np.ndarray, y: np.ndarray) -> tuple
 
 
 def _inradius_descent(body: RandomQuotientBody, restarts: int, seed: SeedSpec,
-                      steps: int = 500, decay: float = 0.97) -> tuple[float, np.ndarray]:
-    rng = generator(seed)
-    u = rng.normal(size=(restarts, body.n))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+                      steps: int = 500) -> tuple[float, np.ndarray]:
+    u = _unit_sphere(generator(seed), restarts, body.n)
     mean_col = float(np.mean(body.column_norms))
     step = 0.3 / max(mean_col, 1e-12)
     best_val = np.full(restarts, np.inf)
@@ -537,7 +524,7 @@ def _inradius_descent(body: RandomQuotientBody, restarts: int, seed: SeedSpec,
         u -= grad
         # the floating-point operations of np.linalg.norm(u, axis=1), without its overhead
         u /= np.sqrt(np.add.reduce(u * u, axis=1))[:, None]
-        step *= decay
+        step *= _DESCENT_DECAY
     proj = u @ body.gamma
     vals = np.max(np.abs(proj), axis=1)
     improved = vals < best_val

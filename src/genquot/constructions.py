@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import (RandomQuotientBody, _max_on_line, _ray_gauges, body_norm, body_norm_many,
-                   max_gauge_in_span, section_distortion)
+from .body import (RandomQuotientBody, _max_gauge, _max_on_line, _ray_gauges, _unit_sphere,
+                   body_norm, body_norm_many, section_distortion)
 from .errors import ConditionFailed, IoError, UsageError
 from .linalg import (check_orthonormal, format_matrix, json_field, orthonormalize, parse_matrix,
                      read_json, write_text)
@@ -122,12 +122,8 @@ def _inverse_map_estimates(body: RandomQuotientBody, block: np.ndarray,
     sup ||t(x)||_1 / ||x||_B with t(x) the coefficient vector of x in the
     columns of `block` (a direct measurement of the inverse basis map).
     """
-    k = basis.shape[1]
     pinv = np.linalg.pinv(block)
-    rng = generator(seed)
-    w = rng.normal(size=(_ISO_SAMPLES, k))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    dirs = w @ basis.T
+    dirs = _unit_sphere(generator(seed), _ISO_SAMPLES, basis.shape[1]) @ basis.T
     gauges = body_norm_many(body, dirs)
     coeff_l1 = np.abs(dirs @ pinv.T).sum(axis=1)
     return float(1.0 / gauges.min()), float(np.max(coeff_l1 / gauges))
@@ -250,7 +246,7 @@ def _measure_l2(body: RandomQuotientBody, sub: HaarSubspace, seed: SeedSpec) -> 
     proj = sub.basis @ (sub.basis.T @ body.gamma)
     # on a line, max_g is the gauge of its unit basis vector
     compl = (_max_on_line(sub.basis[:, 0], proj.T, max_g) if sub.dim == 1
-             else max_gauge_in_span(body, sub.basis, proj.T))
+             else _max_gauge(body, proj.T))
     radius = float(np.linalg.norm(proj, axis=0).max())
     return L2Witness(subspace=sub, distortion=max_g / min_g, max_gauge=max_g,
                      min_gauge=min_g, compl_constant=compl, proj_image_radius=radius,
@@ -261,13 +257,13 @@ def complementation_norm(body: RandomQuotientBody, basis) -> float:
     """Operator norm on X_n of the orthogonal projection onto span(basis).
 
     Extreme-point formula: the norm is attained at some vertex g_j, so it is
-    max_j ||P g_j||_B.
+    max_j ||P g_j||_B, taken by _max_gauge's exact pruned maximum as in
+    operator_norm.
     """
     b = check_orthonormal(basis, name="subspace basis")
     if b.shape[0] != body.n:
         raise UsageError(f"basis ambient dimension {b.shape[0]} != body dimension {body.n}")
-    proj = b @ (b.T @ body.gamma)
-    return max_gauge_in_span(body, b, proj.T)
+    return _max_gauge(body, (b @ (b.T @ body.gamma)).T)
 
 
 def corollary_dispatch(body: RandomQuotientBody, seed: SeedSpec,

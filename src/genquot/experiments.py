@@ -569,8 +569,7 @@ def _thm32_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> di
     body = make_body(n, big_n, sd)
     t_op = _operator_for_trial(n, t, cfg.trials, sd.child(1))
     q = operator_norm(body, t_op)
-    est = radii(body, seed=sd.child(2))
-    res = gelfand_sum_bracket(body, t_op, rad=est)
+    res = gelfand_sum_bracket(body, t_op)
     return {
         "cell": _cell_label(cell), "n": n, "N": big_n, "trial": t,
         "stream": sd.stream_index,

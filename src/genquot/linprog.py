@@ -83,6 +83,9 @@ class LPSolution:
     dual_point carries a Farkas certificate (y.b > 0, A^T y <~ 0). For
     "cutoff", basis is primal feasible with objective <= the cutoff, an upper
     bound on the optimum; there is no point, dual or objective.
+
+    iterations counts pricing passes over both phases, not pivots, so a start
+    that is already optimal reports 1 (the pass that finds it optimal).
     """
 
     status: str

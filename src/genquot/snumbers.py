@@ -46,11 +46,10 @@ _RADII_STREAM_OFFSET = 0x5EED_0001  # derived stream for on-demand radii
 class SNumberBracket:
     """Lower/upper estimate pair for a Gelfand number, with certificate kinds.
 
-    Kinds are one of "exact", "sandwich", "sampled". Both sandwich sides
-    depend on the sampled inradius estimate, so they are flagged "sampled"
-    unless the value is exactly zero. upper_certificate records the sampled
-    evaluation of the restriction norm on the canonical codim-(k-1) subspace;
-    it is diagnostic and never tightens the bracket.
+    Kinds are "exact" (both sides 0, when s_k = 0) or "sampled": both sandwich
+    sides depend on the sampled inradius estimate. upper_certificate records
+    the sampled evaluation of the restriction norm on the canonical
+    codim-(k-1) subspace; it is diagnostic and never tightens the bracket.
     """
 
     k: int
@@ -73,13 +72,11 @@ class ShiftSearchResult:
 
 @dataclass(frozen=True)
 class GelfandSumResult:
-    """Traceless reduction plus the best shifted s-number sum and its bracket."""
+    """Traceless reduction plus the best shifted Euclidean s-number sum."""
 
     traceless_shift: float
     best_shift: float
     sum_value: float
-    lower: float
-    upper: float
 
 
 @dataclass(frozen=True)
@@ -103,12 +100,6 @@ class MnWitness:
 def euclidean_s_numbers(t) -> np.ndarray:
     """Singular values of T, non-increasing; Gelfand numbers on Euclidean spaces."""
     return svd(t).singular_values
-
-
-def _body_radii(body: RandomQuotientBody, rad: RadiiEstimate | None) -> RadiiEstimate:
-    if rad is not None:
-        return rad
-    return radii(body, seed=body.seed.child(_RADII_STREAM_OFFSET))
 
 
 def _restriction_certificate(body: RandomQuotientBody, t: np.ndarray, k: int,
@@ -153,8 +144,9 @@ def gelfand_bracket(body: RandomQuotientBody, t, k: int, dual: bool = False,
     if sk == 0.0:
         return SNumberBracket(k=k, lower=0.0, upper=0.0, lower_kind="exact",
                               upper_kind="exact", upper_certificate=0.0)
-    est = _body_radii(body, rad)
-    ratio = est.inradius_estimate / est.circumradius
+    if rad is None:
+        rad = radii(body, seed=body.seed.child(_RADII_STREAM_OFFSET))
+    ratio = rad.inradius_estimate / rad.circumradius
     cert = None
     if cert_samples > 0:
         work = tm.T if dual else tm
@@ -233,15 +225,15 @@ def min_over_shifts(body: RandomQuotientBody, t, k: int, grid_points: int = _GRI
                              bracket_at_best=bracket, grid=grid)
 
 
-def gelfand_sum_bracket(body: RandomQuotientBody, t, opnorm: float | None = None,
-                        rad: RadiiEstimate | None = None) -> GelfandSumResult:
+def gelfand_sum_bracket(body: RandomQuotientBody, t,
+                        opnorm: float | None = None) -> GelfandSumResult:
     """Best shifted s-number sum: shift to the traceless representative, then
     grid-search a further shift minimizing sum_i s_i(T0 - lambda*Id).
 
-    The returned bracket scales the best sum by (r/R, R/r), the same sandwich
-    as gelfand_bracket. best_shift is the total shift (traceless part
-    included); the search grid always contains the two distinguished shifts 0
-    and -tr(T)/n (i.e. total shifts tr(T)/n and 0).
+    The window is [-2 q, 2 q] with q = ||T0||_X (opnorm, when given). best_shift
+    is the total shift (traceless part included); the search grid always
+    contains the two distinguished shifts 0 and -tr(T)/n (i.e. total shifts
+    tr(T)/n and 0).
     """
     tm = as_matrix(t, "T")
     if tm.shape != (body.n, body.n):
@@ -250,8 +242,7 @@ def gelfand_sum_bracket(body: RandomQuotientBody, t, opnorm: float | None = None
     eye = np.eye(body.n)
     t0 = tm - lam0 * eye
     if not np.any(t0):
-        return GelfandSumResult(traceless_shift=lam0, best_shift=lam0, sum_value=0.0,
-                                lower=0.0, upper=0.0)
+        return GelfandSumResult(traceless_shift=lam0, best_shift=lam0, sum_value=0.0)
     q0 = operator_norm(body, t0) if opnorm is None else float(opnorm)
 
     def values_of(lams: np.ndarray) -> np.ndarray:
@@ -259,11 +250,8 @@ def gelfand_sum_bracket(body: RandomQuotientBody, t, opnorm: float | None = None
 
     rel_shift, best_sum, _ = _shift_scan(values_of, 2.0 * q0, _GRID_POINTS,
                                          (0.0, -lam0))
-    est = _body_radii(body, rad)
-    ratio = est.inradius_estimate / est.circumradius
     return GelfandSumResult(traceless_shift=lam0, best_shift=lam0 + rel_shift,
-                            sum_value=best_sum, lower=ratio * best_sum,
-                            upper=best_sum / ratio)
+                            sum_value=best_sum)
 
 
 def mn_witness_check(t, f: HaarSubspace | np.ndarray, beta: float) -> MnWitness:

@@ -111,6 +111,31 @@ class TestBodyNorm:
             lp_vals = np.array([gq.body_norm(body, p) for p in pts])
             assert np.max(np.abs(hull_vals - lp_vals)) <= 1e-7 * (1 + np.max(lp_vals))
 
+    def test_column_generation_counts_every_round(self, monkeypatch):
+        # 2N > 1024: _gauge_lp solves restricted LPs over growing column subsets,
+        # and its iterations are the sum of theirs, a cut round's included
+        body = gq.make_body(24, 576, seed(39))
+        x = gq.gaussian_matrix(24, 1, 1.0, seed(39, 1))[:, 0]
+        rounds = []
+        solve = body_module.solve_lp
+
+        def spy(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            rounds.append((sol.status, sol.objective_value, sol.iterations))
+            return sol
+
+        monkeypatch.setattr(body_module, "solve_lp", spy)
+        sol = _gauge_lp(body, x)
+        assert len(rounds) > 1
+        assert sol.iterations == sum(passes for *_, passes in rounds)
+        # a cutoff between the first restricted optimum and the full one cuts a later round
+        first = rounds[0][1]
+        assert first > sol.objective_value
+        rounds.clear()
+        cut = _gauge_lp(body, x, cutoff=0.5 * (first + sol.objective_value))
+        assert cut.status == "cutoff" and len(rounds) > 1
+        assert cut.iterations == sum(passes for *_, passes in rounds)
+
 
 class TestDualNorm:
     def test_linf_on_cross_polytope(self, cross2):

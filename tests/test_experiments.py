@@ -301,6 +301,16 @@ class TestSmallSuiteRuns:
         rep = gq.run_suite(tiny("thm32", trials=4, size_grid=((8, 64),)))
         assert rep.fitted["c"] > 0
 
+    def test_thm32_runs_no_inradius_estimate(self, monkeypatch):
+        # Theorem 3.2's trend is on the Euclidean shifted s-number sum alone
+        def no_radii(*args, **kwargs):
+            raise AssertionError("thm32 must not estimate the inradius")
+
+        monkeypatch.setattr(gq.experiments, "radii", no_radii)
+        rep = gq.run_suite(tiny("thm32", trials=1, size_grid=((8, 64),)))
+        assert rep.aggregate["error_count"] == 0
+        assert rep.trials[0]["sum_value"] > 0
+
     def test_hsbound_small(self):
         rep = gq.run_suite(tiny("hsbound", trials=5, size_grid=((6, 24),)))
         assert rep.passed
