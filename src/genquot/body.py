@@ -2,9 +2,10 @@
 
 A body is the n x N matrix Gamma whose columns are i.i.d. N(0, Id/n) Gaussian
 vectors; the norm it induces on R^n has B as unit ball. The gauge is computed
-exactly as the minimum l1 preimage norm via an equality-form LP (variables
-split into positive and negative parts); the dual norm is the support
-function max_j |<g_j, u>|, a plain matrix product.
+exactly as the minimum l1 preimage norm: one equality-form LP over
+[Gamma, -Gamma] (variables split into positive and negative parts), started
+from a crash basis of the n columns with the largest |<x, g_j>|. The dual
+norm is the support function max_j |<g_j, u>|, a plain matrix product.
 
 For low dimensions the convex hull of {+-g_j} (one Qhull call per body)
 gives the exact volume of B and, through its facets, the vertices of the
@@ -146,8 +147,8 @@ def body_from_matrix(gamma, seed: SeedSpec = SeedSpec(0, 0)) -> RandomQuotientBo
     """Wrap an explicit column matrix as a body (used for injected test bodies)."""
     g = as_matrix(gamma, "gamma")
     n, N = g.shape
-    if N < n:
-        raise UsageError(f"need at least n columns, got {n}x{N}")
+    if not 1 <= n <= N:
+        raise UsageError(f"need 1 <= n <= N, got n={n}, N={N}")
     smin = float(np.linalg.svd(g, compute_uv=False)[-1])
     if smin <= _RANK_TOL:
         raise NumericError(
@@ -158,86 +159,28 @@ def body_from_matrix(gamma, seed: SeedSpec = SeedSpec(0, 0)) -> RandomQuotientBo
     return RandomQuotientBody(n=n, N=N, gamma=g, seed=seed, column_norms=norms, sigma_min=smin)
 
 
-# Gauge LP labels: global label j < N is the column +g_j and N + j is -g_j, the
-# layout of the full LP [Gamma, -Gamma]; over a sorted column subset S the
-# restricted LP [Gamma_S, -Gamma_S] numbers its columns the same way with |S|.
-
-def _global_labels(subset: np.ndarray, basis: np.ndarray, big_n: int) -> np.ndarray:
-    ns = subset.size
-    return subset[basis % ns] + big_n * (basis >= ns)
-
-
-def _restricted_labels(subset: np.ndarray, labels: np.ndarray, big_n: int) -> np.ndarray:
-    # every labelled column must lie in subset
-    return np.searchsorted(subset, labels % big_n) + subset.size * (labels >= big_n)
-
-
 def _gauge_lp(body: RandomQuotientBody, x: np.ndarray,
               start_basis: np.ndarray | None = None,
               cutoff: float | None = None) -> LPSolution:
-    """min ||t||_1 s.t. Gamma t = x, via t = t+ - t-, both >= 0.
+    """min ||t||_1 s.t. Gamma t = x, via t = t+ - t-, both >= 0: the full LP
+    over [Gamma, -Gamma], label j for +g_j and N + j for -g_j.
 
-    Solved by delayed column generation: optimize over a working subset of
-    columns, then admit columns whose dual constraint |<g_j, y>| <= 1 is
-    violated; when none is violated the restricted optimum is certified
-    optimal for the full problem (the omitted variables price out).
-    start_basis (global labels, see above) is an optional warm start; the
-    returned basis carries global labels too. With a cutoff the result may
-    be solve_lp's "cutoff" verdict; a cut basis of a restricted LP is also
-    feasible for the full LP. iterations is the sum over all solve_lp rounds.
+    start_basis is a warm start; without one the solve starts from x's
+    _crash_bases start, and solve_lp falls back to phase 1 only when that
+    basis is numerically singular. With a cutoff the result may be
+    solve_lp's "cutoff" verdict.
     """
-    if 2 * body.N <= 1024:
-        sol = solve_lp(LPProblem(constraint_matrix=body.plus_minus, rhs=x,
-                                 objective=np.ones(2 * body.N)),
-                       start_basis=start_basis, cutoff=cutoff)
-        if sol.status == "infeasible":
-            raise NotInSpan("point lies outside the column span of gamma")
-        if sol.status not in ("optimal", "cutoff"):  # pragma: no cover - bounded below by 0
-            raise NumericError(f"gauge LP ended with status {sol.status}")
-        return sol
-
-    correlation = np.abs(x @ body.gamma) / body.column_norms
-    order = np.argsort(-correlation, kind="stable")
-    take = min(body.N, max(4 * body.n, 64))
-    subset = np.sort(order[:take])
-    warm_labels = start_basis
-    if warm_labels is not None:
-        subset = np.union1d(subset, warm_labels % body.N)
-    iterations = 0
-    for _ in range(60):
-        start = (_restricted_labels(subset, warm_labels, body.N)
-                 if warm_labels is not None else None)
-        a = body.plus_minus[:, np.concatenate([subset, body.N + subset])]
-        sol = solve_lp(LPProblem(constraint_matrix=a, rhs=x, objective=np.ones(2 * subset.size)),
-                       start_basis=start, cutoff=cutoff)
-        iterations += sol.iterations
-        if sol.status == "cutoff":
-            return LPSolution(status="cutoff", iterations=iterations,
-                              basis=_global_labels(subset, sol.basis, body.N))
-        if sol.status == "infeasible":
-            if subset.size == body.N:
-                raise NotInSpan("point lies outside the column span of gamma")
-            take = min(body.N, 2 * take)
-            subset = np.union1d(subset, order[:take])
-            continue
-        if sol.status != "optimal":  # pragma: no cover
-            raise NumericError(f"gauge LP ended with status {sol.status}")
-        slack = np.abs(sol.dual_point @ body.gamma) - 1.0
-        slack[subset] = 0.0
-        violated = np.flatnonzero(slack > 1e-9)
-        warm_labels = _global_labels(subset, sol.basis, body.N)
-        if violated.size == 0:
-            ns = subset.size
-            point = np.zeros(2 * body.N)
-            point[subset] = sol.point[:ns]
-            point[body.N + subset] = sol.point[ns:]
-            return LPSolution(status="optimal", point=point,
-                              objective_value=sol.objective_value,
-                              dual_point=sol.dual_point, iterations=iterations,
-                              basis=warm_labels)
-        worst = violated[np.argsort(-slack[violated], kind="stable")]
-        subset = np.union1d(subset, worst[: max(body.n, 32)])
-    raise NumericError("gauge column generation did not converge")  # pragma: no cover
+    if start_basis is None:
+        labels, _, _, _, usable = _crash_bases(body, x[None])
+        start_basis = labels[0] if usable[0] else None
+    sol = solve_lp(LPProblem(constraint_matrix=body.plus_minus, rhs=x,
+                             objective=np.ones(2 * body.N)),
+                   start_basis=start_basis, cutoff=cutoff)
+    if sol.status == "infeasible":
+        raise NotInSpan("point lies outside the column span of gamma")
+    if sol.status not in ("optimal", "cutoff"):  # pragma: no cover - bounded below by 0
+        raise NumericError(f"gauge LP ended with status {sol.status}")
+    return sol
 
 
 def _max_gauge(body: RandomQuotientBody, points: np.ndarray) -> float:
@@ -305,9 +248,10 @@ def _inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _crash_bases(body: RandomQuotientBody, pts: np.ndarray) -> tuple[np.ndarray, ...]:
     """Crash start of the gauge LP of each row x of pts: the n columns with
-    the largest |<x, g_j>| / ||g_j||, labelled j or N + j as x's coefficient
-    on g_j is >= 0 or < 0 (with solve_lp's perturbed RHS), so that the basis
-    is primal feasible, as in _max_gauge's warm starts.
+    the largest |<x, g_j>|, the dual constraints nearest to tight at the
+    feasible dual x / max_j |<x, g_j>|. Each is labelled j or N + j as x's
+    coefficient on g_j is >= 0 or < 0 (with solve_lp's perturbed RHS), so
+    that the basis is primal feasible, as in _max_gauge's warm starts.
 
     Returns the labels, the inverses of the basis matrices, the basic values,
     the perturbed RHS rows and a mask of the rows whose basis matrix is
@@ -315,9 +259,9 @@ def _crash_bases(body: RandomQuotientBody, pts: np.ndarray) -> tuple[np.ndarray,
     """
     sign = np.where(pts < 0, -1.0, 1.0)
     xp = sign * _perturbed(pts * sign)
-    corr = np.abs(pts @ body.gamma) / body.column_norms
+    corr = np.abs(pts @ body.gamma)
     cols = np.sort(np.argpartition(-corr, body.n - 1, axis=1)[:, :body.n], axis=1)
-    inv, usable = _inverses(np.ascontiguousarray(body.gamma.T)[cols].transpose(0, 2, 1))
+    inv, usable = _inverses(body.gamma.T[cols].transpose(0, 2, 1))
     coeffs = (inv @ xp[:, :, None])[:, :, 0]
     labels = np.where(coeffs >= 0, cols, cols + body.N)
     binv = inv * np.where(coeffs >= 0, 1.0, -1.0)[:, :, None]
@@ -426,9 +370,8 @@ def body_norm_many(body: RandomQuotientBody, xs) -> np.ndarray:
     each gauge is an LP objective: the nonzero rows are solved together by
     _lockstep_gauges, in batches of _LOCKSTEP_ROWS, and a row that batch
     leaves unsolved by _gauge_lp, as body_norm would. A gauge does not
-    depend on the other rows or their order; on the full-LP path (2N <=
-    1024) it has the bytes of body_norm, on the column-generation path it
-    is the same LP objective summed over all 2N columns.
+    depend on the other rows or their order, and it has the bytes of
+    body_norm.
     """
     pts = as_matrix(xs, "points")
     if pts.shape[1] != body.n:
@@ -455,6 +398,8 @@ def dual_norm(body: RandomQuotientBody, u) -> float:
 
 def dual_norm_many(body: RandomQuotientBody, us) -> np.ndarray:
     pts = as_matrix(us, "points")
+    if pts.shape[1] != body.n:
+        raise UsageError(f"points have dimension {pts.shape[1]}, body has {body.n}")
     return np.max(np.abs(pts @ body.gamma), axis=1)
 
 
@@ -483,12 +428,12 @@ def _max_on_line(unit: np.ndarray, points: np.ndarray, gauge: float) -> float:
 def _ray_gauges(body: RandomQuotientBody, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """||x||_B and ||y||_B for a nonzero x and a positive multiple y of it.
 
-    x's gauge LP is solved from a cold start and y's from x's optimal basis.
+    x's gauge LP is solved from its crash start and y's from x's optimal basis.
     Reduced costs do not depend on the right-hand side and the basic values
     scale with it, so that basis stays optimal for every positive multiple
     of x (RHS sensitivity): y's solve makes no pivots and still ends in
-    solve_lp's closing certificate. solve_lp falls back to phase 1 if
-    rounding leaves the basis unusable for y.
+    solve_lp's closing certificate, whose bytes depend on the basis only.
+    solve_lp falls back to phase 1 if rounding leaves the basis unusable for y.
     """
     sol = _gauge_lp(body, x)
     return float(sol.objective_value), float(_gauge_lp(body, y, sol.basis).objective_value)
@@ -538,8 +483,7 @@ def _inradius_descent(body: RandomQuotientBody, restarts: int, seed: SeedSpec,
 def _polar_walk(body: RandomQuotientBody, u: np.ndarray) -> np.ndarray:
     """A locally farthest vertex w of the polar body P = {w : |Gamma^T w| <= 1}.
 
-    The start is the optimal dual y of u's gauge LP (solved from its
-    _crash_bases start, not through phase 1), a vertex of P with
+    The start is the optimal dual y of u's gauge LP, a vertex of P with
     |y| >= <u/|u|, y> = ||u||_B / |u|; its basis labels give the n tight
     rows, A w = 1, and the n edges of P at w are the columns of D = -A^-1.
     Each step runs the ratio test of every edge over all 2N constraints at
@@ -552,8 +496,7 @@ def _polar_walk(body: RandomQuotientBody, u: np.ndarray) -> np.ndarray:
     returns the start. Maximizing a norm over a polytope is NP-hard
     (Mangasarian and Shiau 1986): the result is a local maximum only.
     """
-    labels, _, _, _, usable = _crash_bases(body, u[None])
-    sol = _gauge_lp(body, u, labels[0] if usable[0] else None)
+    sol = _gauge_lp(body, u)
     cols = sol.basis % body.N
     signs = np.where(sol.basis < body.N, 1.0, -1.0)
     at = np.arange(body.n)

@@ -276,6 +276,8 @@ def _cmd_volume(args) -> int:
 def _cmd_snumbers(args) -> int:
     body = load_body(args.body)
     t = read_matrix(args.matrix)
+    if t.shape != (body.n, body.n):
+        raise UsageError(f"T must be {body.n}x{body.n}, got {t.shape}")
     if args.k is None:
         svs = euclidean_s_numbers(t)
         print(" ".join(format(v, ".12g") for v in svs))

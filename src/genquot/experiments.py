@@ -40,7 +40,8 @@ import numpy as np
 from . import REPORT_SCHEMA, __version__
 from .body import (VOLUME_DIM_CAP, make_body, mean_width, operator_norm, radii,
                    section_distortion, volume_ratio)
-from .constructions import find_l1_subspace, find_l2_subspace, verify_witness
+from .constructions import (DEFAULT_C_CAL, DEFAULT_EL2_THRESHOLD, find_l1_subspace,
+                            find_l2_subspace, verify_witness)
 from .errors import ConditionFailed, FitError, IoError, NumericError, UsageError
 from .linalg import json_field, read_json, write_text
 from .sampler import SeedSpec, gaussian_matrix, haar_subspace
@@ -84,8 +85,8 @@ DEFAULT_THRESHOLDS: dict[str, float] = {
     "thm32_stability": 2.0,
     "thm32_floor_factor": 0.25,
     "prop_success_rate": 0.9,
-    "c_cal": 0.25,
-    "el2_sigma_min": 0.25,
+    "c_cal": DEFAULT_C_CAL,
+    "el2_sigma_min": DEFAULT_EL2_THRESHOLD,
 }
 
 _CALIBRATED_KEYS = ("l1_iso_max", "l1_compl_max", "l2_distortion_max", "l2_compl_max")

@@ -7,7 +7,8 @@ import pytest
 
 import genquot as gq
 
-from genquot.body import _gauge_lp, _inradius_descent, _polar_walk, _unit_sphere, _walked_inradius
+from genquot.body import (_gauge_lp, _inradius_descent, _polar_walk, _ray_gauges, _unit_sphere,
+                          _walked_inradius)
 from genquot import body as body_module, linprog
 from genquot.sampler import generator
 
@@ -111,31 +112,6 @@ class TestBodyNorm:
             lp_vals = np.array([gq.body_norm(body, p) for p in pts])
             assert np.max(np.abs(hull_vals - lp_vals)) <= 1e-7 * (1 + np.max(lp_vals))
 
-    def test_column_generation_counts_every_round(self, monkeypatch):
-        # 2N > 1024: _gauge_lp solves restricted LPs over growing column subsets,
-        # and its iterations are the sum of theirs, a cut round's included
-        body = gq.make_body(24, 576, seed(39))
-        x = gq.gaussian_matrix(24, 1, 1.0, seed(39, 1))[:, 0]
-        rounds = []
-        solve = body_module.solve_lp
-
-        def spy(*args, **kwargs):
-            sol = solve(*args, **kwargs)
-            rounds.append((sol.status, sol.objective_value, sol.iterations))
-            return sol
-
-        monkeypatch.setattr(body_module, "solve_lp", spy)
-        sol = _gauge_lp(body, x)
-        assert len(rounds) > 1
-        assert sol.iterations == sum(passes for *_, passes in rounds)
-        # a cutoff between the first restricted optimum and the full one cuts a later round
-        first = rounds[0][1]
-        assert first > sol.objective_value
-        rounds.clear()
-        cut = _gauge_lp(body, x, cutoff=0.5 * (first + sol.objective_value))
-        assert cut.status == "cutoff" and len(rounds) > 1
-        assert cut.iterations == sum(passes for *_, passes in rounds)
-
 
 class TestDualNorm:
     def test_linf_on_cross_polytope(self, cross2):
@@ -150,6 +126,10 @@ class TestDualNorm:
         for _ in range(100):
             x, u = rng.normal(size=4), rng.normal(size=4)
             assert x @ u <= gq.body_norm(body, x) * gq.dual_norm(body, u) + 1e-8
+
+    def test_many_rejects_wrong_dimension(self, cross2):
+        with pytest.raises(gq.UsageError):
+            gq.dual_norm_many(cross2, np.ones((4, 3)))
 
     def test_lp_dual_witness_achieves_equality(self):
         body = gq.make_body(4, 12, seed(45))
@@ -207,7 +187,7 @@ class TestMaxGaugeKernel:
     def test_bit_identical_to_cold_maximum(self, n, big_n):
         body = gq.make_body(n, big_n, seed(150, n * big_n))
         operators = _operators(n, 151 + big_n)
-        if 2 * big_n > 1024:  # column generation: two operators keep the cold maxima short
+        if big_n == 576:  # the widest LPs: two operators keep the cold maxima short
             operators = {k: operators[k] for k in ("gaussian", "orthogonal")}
         for kind, t in operators.items():
             cold = max(gq.body_norm(body, x) for x in (t @ body.gamma).T)
@@ -239,7 +219,7 @@ class TestMaxGaugeKernel:
         assert gq.operator_norm(body, np.eye(16)) == pytest.approx(1.0, rel=1e-13)
 
     def test_column_generation_path_against_highs(self):
-        body = gq.make_body(24, 576, seed(153))  # 2N > 1024: column generation
+        body = gq.make_body(24, 576, seed(153))  # 2N = 1152 columns
         t = gq.gaussian_matrix(24, 24, 1.0, seed(153, 1))
         ref = highs_max_gauge(body.gamma, (t @ body.gamma).T)
         assert gq.operator_norm(body, t) == pytest.approx(ref, rel=1e-9)
@@ -276,10 +256,11 @@ def _section_directions(n: int, count: int, s: int) -> np.ndarray:
 class TestLockstepGauges:
     """body_norm_many above the hull cap solves its rows in one lock-step batch."""
 
-    @pytest.mark.parametrize("n,big_n", [(8, 64), (16, 256)])
+    @pytest.mark.parametrize("n,big_n", [(8, 64), (16, 256), (24, 576), (36, 1296)])
     def test_full_lp_path_bit_identical_to_body_norm(self, n, big_n, monkeypatch):
+        # body_norm solves the same full LP and certifies its optimal basis the same way
         body = gq.make_body(n, big_n, seed(160, n))
-        dirs = _section_directions(n, 64, 161 + n)
+        dirs = _section_directions(n, 64 if n <= 16 else 32, 161 + n)
         certified = []
         certify = body_module.certify_basis
 
@@ -292,17 +273,8 @@ class TestLockstepGauges:
         assert len(certified) == len(dirs)  # every batched gauge passed solve_lp's certificate
         got = gq.body_norm_many(body, dirs)
         assert got.tobytes() == np.array([gq.body_norm(body, x) for x in dirs]).tobytes()
-
-    @pytest.mark.parametrize("n,big_n", [(24, 576), (36, 1296)])
-    def test_column_generation_path_agrees_with_scalar_and_highs(self, n, big_n):
-        # the batch sums the same LP objective over all 2N columns, column
-        # generation over its working subset: the bytes may differ in roundoff
-        body = gq.make_body(n, big_n, seed(162, n))
-        dirs = _section_directions(n, 32, 163 + n)
-        got = gq.body_norm_many(body, dirs)
-        scalar = np.array([gq.body_norm(body, x) for x in dirs])
-        assert np.max(np.abs(got - scalar) / scalar) <= 1e-15
-        assert got[:8] == pytest.approx(highs_gauges(body.gamma, dirs[:8]), rel=1e-9)
+        if n > 16:
+            assert got[:8] == pytest.approx(highs_gauges(body.gamma, dirs[:8]), rel=1e-9)
 
     @pytest.mark.parametrize("n,big_n", [(16, 256), (24, 576)])
     def test_bytes_do_not_depend_on_order_or_batch(self, n, big_n):
@@ -361,6 +333,19 @@ class TestLockstepGauges:
                             lambda b, p: np.full(p.shape[0], np.nan))
         got = gq.body_norm_many(body, pts)
         assert got.tobytes() == np.array([gq.body_norm(body, x) for x in pts]).tobytes()
+
+
+class TestRayGauges:
+    @pytest.mark.parametrize("n,big_n", [(16, 128), (24, 576), (36, 1296)])
+    def test_warm_multiple_has_the_bytes_of_a_cold_gauge(self, n, big_n):
+        # the column g_j starts at the optimal basis of its direction's LP
+        body = gq.make_body(n, big_n, seed(172, n))
+        for j in range(4):
+            g = body.gamma[:, j]
+            unit = g / body.column_norms[j]
+            line, column = _ray_gauges(body, unit, g)
+            assert line == gq.body_norm(body, unit)
+            assert column.hex() == gq.body_norm(body, g).hex(), j
 
 
 class TestRadii:

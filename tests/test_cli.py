@@ -86,6 +86,22 @@ def test_opnorm_and_snumbers(body_file, tmp_path, capsys):
     assert "c_1 in [" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", ["0 0\n", "2 3\n1 0 0\n0 1 0\n"], ids=["0x0", "2x3"])
+def test_snumbers_non_square_matrix_exits_2(body_file, tmp_path, capsys, text):
+    # T must be n x n with or without --k
+    mpath = tmp_path / "t.mtx"
+    mpath.write_text(text)
+    assert main(["snumbers", "--body", str(body_file), "--matrix", str(mpath)]) == 2
+    _assert_usage_error_line(capsys.readouterr().err)
+
+
+def test_zero_row_body_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.mtx"
+    path.write_text("GENQUOT-BODY v1 0 5 0 0\n0 5\n")
+    assert main(["norm", "--body", str(path), "--vec", "1"]) == 2
+    _assert_usage_error_line(capsys.readouterr().err)
+
+
 def test_shiftsearch(body_file, tmp_path, capsys):
     mpath = tmp_path / "t.mtx"
     gq.write_matrix(1.5 * np.eye(3), mpath)

@@ -194,7 +194,7 @@ class TestComplementationNorm:
             assert gq.complementation_norm(body, basis) == cold, h
 
     def test_column_generation_path_against_highs(self):
-        body = gq.make_body(24, 576, seed(127))  # 2N > 1024: column generation
+        body = gq.make_body(24, 576, seed(127))  # 2N = 1152 columns
         basis = gq.haar_subspace(24, 3, seed(127, 1)).basis
         ref = highs_max_gauge(body.gamma, (basis @ (basis.T @ body.gamma)).T)
         assert gq.complementation_norm(body, basis) == pytest.approx(ref, rel=1e-9)
@@ -210,22 +210,29 @@ class TestLineWitness:
 
     @pytest.mark.parametrize("n,big_n", [(16, 128), (24, 576), (36, 1296)])
     def test_l1_line_makes_one_cold_solve(self, n, big_n, monkeypatch):
-        # 2N > 1024 is column generation: the line's cold LP then takes several
-        # solve_lp rounds, each later one warm-started over a larger column subset
+        # cold: not started from an earlier optimal basis (_gauge_lp's crash start)
         body = gq.make_body(n, big_n, seed(130, n))
         calls = []
-        solve = body_module.solve_lp
+        solves = []
+        gauge_lp, solve = body_module._gauge_lp, body_module.solve_lp
 
-        def spy(p, start_basis=None, cutoff=None):
-            sol = solve(p, start_basis, cutoff)
-            calls.append((p.rhs.tobytes(), start_basis is None, sol.iterations))
+        def gauge_spy(b, x, start_basis=None, cutoff=None):
+            sol = gauge_lp(b, x, start_basis, cutoff)
+            calls.append((x.tobytes(), start_basis is None, sol.iterations))
             return sol
 
-        monkeypatch.setattr(body_module, "solve_lp", spy)
+        def solve_spy(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(body_module, "_gauge_lp", gauge_spy)
+        monkeypatch.setattr(body_module, "solve_lp", solve_spy)
         wit = _measure_l1(body, np.array([3]), seed(131, n))
         line = wit.basis[:, 0].tobytes()
         assert calls[0][:2] == (line, True)
+        assert [rhs for rhs, _, _ in calls].count(line) == 1
         assert [cold for _, cold, _ in calls].count(True) == 1
+        assert len(solves) == len(calls)  # one solve_lp call per gauge
         # solve_lp counts pricing passes: 1 is the pass that finds the start optimal, no pivot
         column = [passes for rhs, _, passes in calls if rhs != line]
         assert column and all(passes == 1 for passes in column)

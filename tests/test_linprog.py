@@ -151,7 +151,7 @@ class TestCertificates:
 # columns and report the same floats on fixed inputs, whatever its numpy
 # calls look like. Each case drives one branch of the loop: Dantzig pricing
 # (cold and warm), the switch to Bland's rule, phase 1 with a redundant row,
-# the unbounded and infeasible exits, and column generation.
+# the unbounded and infeasible exits, and a gauge LP from its crash basis.
 
 def _gauge_problem(g: np.ndarray, x: np.ndarray) -> LPProblem:
     return LPProblem(np.hstack([g, -g]), x, np.ones(2 * g.shape[1]))
@@ -202,7 +202,7 @@ def _golden_infeasible():
     return solve_lp(_gauge_problem(g, rng.normal(size=6)))
 
 
-def _golden_column_generation():
+def _golden_crash_start():
     from genquot.body import _gauge_lp
 
     body = gq.make_body(24, 576, gq.SeedSpec(7, 3))
@@ -218,7 +218,7 @@ GOLDEN_CASES = {
     "phase1-redundant-row": _golden_redundant_row,
     "unbounded": _golden_unbounded,
     "infeasible": _golden_infeasible,
-    "colgen-24x576": _golden_column_generation,
+    "crash-24x576": _golden_crash_start,
 }
 
 
@@ -231,8 +231,7 @@ def _fingerprint(sol) -> tuple:
 
 
 # (status, iterations, basis, objective, duals) per case, recorded before the
-# pivot loop was rewritten for fewer numpy calls per pivot; colgen's iterations
-# are the sum over its three column-generation rounds (68 + 15 + 3)
+# pivot loop was rewritten for fewer numpy calls per pivot
 GOLDEN_PATHS = {"bland-20x120": ("optimal", 88,
                   (6, 19, 35, 38, 39, 55, 60, 62, 65, 73, 82, 84, 85, 92, 93, 100, 105, 107,
                    113, 119),
@@ -244,7 +243,7 @@ GOLDEN_PATHS = {"bland-20x120": ("optimal", 88,
                    "0x1.53ad6fa22449ap-13", "0x1.8acf46b3b0a33p-12", "0x1.0f081e1f4a256p-12",
                    "0x1.68dd4a1574faep-13", "0x1.72fc1575bba1dp-12", "0x1.2621ceda904ccp-12",
                    "0x1.844d397beb1d6p-12", "0x1.7ff34125da108p-14")),
- "colgen-24x576": ("optimal", 86,
+ "crash-24x576": ("optimal", 50,
                    (3, 70, 84, 143, 150, 220, 259, 282, 354, 358, 422, 508, 512, 525, 592, 689,
                     722, 753, 762, 778, 836, 1011, 1018, 1082),
                    "0x1.49091a2b4428ep+3",
