@@ -18,7 +18,9 @@ simplex run over all its right-hand sides in lock-step: the LPs share
 products over the whole batch, and every row starts from a feasible crash
 basis, so none runs phase 1. The inradius estimate there walks the edges of
 the polar body from the dual vertex of a gauge LP to a locally farthest
-vertex; sigma_min(Gamma) / sqrt(N) is a certified floor under it.
+vertex; sigma_min(Gamma) / sqrt(N) is a certified floor under it. At every
+dimension the max-of-gauges kernel behind operator_norm solves its images
+in such lock-step batches too, warm-started and with an objective cutoff.
 
 Bodies are immutable after construction; every operation here is a read-only
 pure function (Monte Carlo ones of their SeedSpec too) and safe to call from
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -188,21 +191,30 @@ def _max_gauge(body: RandomQuotientBody, points: np.ndarray) -> float:
 
     Exact pruning: lower_i = max(||x_i||_2 / R, |<x_i, y>| over the optimal
     duals y found so far) only orders the solves, largest first; upper_i =
-    min over the optimal column sets S found so far of ||Gamma_S^-1 x_i||_1,
-    the cost of an l1 representation of x_i in the columns +-g_j. A point
-    whose upper bound is at most the best LP value found is never solved.
+    min over the column sets S of the end bases found so far of
+    ||Gamma_S^-1 x_i||_1, the cost of an l1 representation of x_i in the
+    columns +-g_j. A point whose upper bound is at most the best LP value
+    found is never solved.
+
+    Batches: the point of largest lower bound is solved alone by _gauge_lp.
+    The next unsolved points in lower-bound order are then solved together
+    by _lockstep_gauges, in batches of 2, 4, 8, ... up to _LOCKSTEP_ROWS (a
+    batch of one by _gauge_lp), and a row a batch cannot finish by
+    _gauge_lp. After each batch every end basis tightens the upper bounds
+    and every optimal dual raises the lower bounds of the unsolved points.
 
     Warm start: the columns come in +- pairs, so the column set S of any
-    optimal basis gives a primal-feasible basis for every right-hand side x,
-    label j where (Gamma_S^-1 x)_j >= 0 and N + j elsewhere. Each point starts
-    from the set that gives its upper bound; solve_lp falls back to phase 1
-    when that basis is not usable.
+    basis gives a primal-feasible basis for every right-hand side x, label j
+    where (Gamma_S^-1 x)_j >= 0 and N + j elsewhere. Each point starts from
+    the set that gives its upper bound. A scalar solve falls back to phase 1
+    when solve_lp cannot use that start, and a batch row goes to _gauge_lp.
 
     Cut solves: once best > 0 a solve may stop at a feasible basis of
-    objective <= best (solve_lp's cutoff). Its column set tightens the upper
-    bounds like an optimal one, the cut point's own included: the point is
-    pruned by its l1 cost or, still the first in order, solved again without
-    a cutoff. best and the lower bounds come only from optimal solves.
+    objective <= best (solve_lp's cutoff, in a batch too). Its column set
+    tightens the upper bounds like an optimal one, the cut point's own
+    included: the point is pruned by its l1 cost or, if that stays above
+    best, solved again without a cutoff. best and the lower bounds come only
+    from optimal solves.
     """
     pts = points[np.any(points, axis=1)]
     if pts.shape[0] == 0:
@@ -213,25 +225,54 @@ def _max_gauge(body: RandomQuotientBody, points: np.ndarray) -> float:
     unsolved = np.ones(pts.shape[0], dtype=bool)
     cut = np.zeros(pts.shape[0], dtype=bool)
     best = 0.0
+    size = 1
     while True:
         unsolved &= upper > best
-        if not unsolved.any():
+        live = np.flatnonzero(unsolved)
+        if live.size == 0:
             return best
-        i = int(np.argmax(np.where(unsolved, lower, -np.inf)))
-        sol = _gauge_lp(body, pts[i], starts[i] if np.isfinite(upper[i]) else None,
-                        cutoff=best if best > 0 and not cut[i] else None)
-        cut[i] = sol.status == "cutoff"
-        if not cut[i]:
-            unsolved[i] = False
-            best = max(best, float(sol.objective_value))
-            np.maximum(lower, np.abs(pts @ sol.dual_point), out=lower)
-        idx = np.flatnonzero(unsolved)
-        cols = np.sort(sol.basis % body.N)
-        coeffs = np.linalg.solve(body.gamma[:, cols], pts[idx].T).T
+        idx = live[np.argsort(-lower[live], kind="stable")[:size]]
+        cutoff = np.where(cut[idx] | (best == 0.0), -np.inf, best)
+        sols = _lockstep_gauges(body, pts[idx], starts[idx], cutoff) if idx.size > 1 else [None]
+        sols = [sol or _gauge_lp(body, pts[i], starts[i] if np.isfinite(upper[i]) else None,
+                                 None if c == -np.inf else c)
+                for i, sol, c in zip(idx, sols, cutoff)]
+        size = min(2 * size, _LOCKSTEP_ROWS)
+        cut[idx] = [sol.status == "cutoff" for sol in sols]
+        unsolved[idx[~cut[idx]]] = False
+        optimal = [sol for sol in sols if sol.status == "optimal"]
+        if optimal:
+            best = max(best, *(float(sol.objective_value) for sol in optimal))
+            duals = np.array([sol.dual_point for sol in optimal])
+            np.maximum(lower, np.abs(pts @ duals.T).max(axis=1), out=lower)
+        _tighten_upper(body, pts, np.array([sol.basis for sol in sols]) % body.N,
+                       np.flatnonzero(unsolved), upper, starts)
+
+
+def _tighten_upper(body: RandomQuotientBody, pts: np.ndarray, cols: np.ndarray,
+                   rest: np.ndarray, upper: np.ndarray, starts: np.ndarray) -> None:
+    """Lower upper[i] to min over the column sets S (rows of cols) of
+    ||Gamma_S^-1 x_i||_1 for the points x_i = pts[i], i in rest, and set
+    starts[i] to the sign-flipped labels of the set that gives the minimum.
+    The sets go in chunks of at most 2^14 coefficients (one set at least):
+    a large batch's bound update then takes about the memory of the copies
+    one solve_lp call makes, not one coefficient block per set."""
+    if rest.size == 0:
+        return
+    cols = np.sort(cols, axis=1)
+    x = pts[rest].T
+    at = np.arange(rest.size)
+    step = max(1, (1 << 14) // (body.n * rest.size))
+    for lo in range(0, cols.shape[0], step):
+        sets = cols[lo:lo + step]
+        coeffs = np.linalg.inv(body.gamma[:, sets].transpose(1, 0, 2)) @ x
         cost = np.abs(coeffs).sum(axis=1)
-        better = cost < upper[idx]
-        upper[idx[better]] = cost[better]
-        starts[idx[better]] = np.where(coeffs[better] >= 0, cols, cols + body.N)
+        k = cost.argmin(axis=0)
+        low = cost[k, at]
+        better = np.flatnonzero(low < upper[rest])
+        upper[rest[better]] = low[better]
+        k = k[better]
+        starts[rest[better]] = np.where(coeffs[k, :, better] >= 0, sets[k], sets[k] + body.N)
 
 
 def _inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,18 +281,24 @@ def _inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     or one whose inverse misses the identity by more than _INVERSE_RESIDUAL
     (a numerically singular one), is not usable."""
     eye = np.eye(mats.shape[-1])
-    regular = np.linalg.slogdet(mats)[0] != 0
-    inv = np.linalg.inv(np.where(regular[:, None, None], mats, eye))
+    try:
+        inv, regular = np.linalg.inv(mats), True
+    except np.linalg.LinAlgError:
+        regular = np.linalg.slogdet(mats)[0] != 0
+        inv = np.linalg.inv(np.where(regular[:, None, None], mats, eye))
     residual = np.abs(inv @ mats - eye).max(axis=(1, 2))
     return inv, regular & (residual <= _INVERSE_RESIDUAL)
 
 
-def _crash_bases(body: RandomQuotientBody, pts: np.ndarray) -> tuple[np.ndarray, ...]:
+def _crash_bases(body: RandomQuotientBody, pts: np.ndarray,
+                 cols: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Crash start of the gauge LP of each row x of pts: the n columns with
     the largest |<x, g_j>|, the dual constraints nearest to tight at the
-    feasible dual x / max_j |<x, g_j>|. Each is labelled j or N + j as x's
-    coefficient on g_j is >= 0 or < 0 (with solve_lp's perturbed RHS), so
-    that the basis is primal feasible, as in _max_gauge's warm starts.
+    feasible dual x / max_j |<x, g_j>|, or the given column set of each row
+    (cols, a row of n column indices per row of pts). Each is
+    labelled j or N + j as x's coefficient on g_j is >= 0 or < 0 (with
+    solve_lp's perturbed RHS), so that the basis is primal feasible, as in
+    _max_gauge's warm starts.
 
     Returns the labels, the inverses of the basis matrices, the basic values,
     the perturbed RHS rows and a mask of the rows whose basis matrix is
@@ -259,8 +306,9 @@ def _crash_bases(body: RandomQuotientBody, pts: np.ndarray) -> tuple[np.ndarray,
     """
     sign = np.where(pts < 0, -1.0, 1.0)
     xp = sign * _perturbed(pts * sign)
-    corr = np.abs(pts @ body.gamma)
-    cols = np.sort(np.argpartition(-corr, body.n - 1, axis=1)[:, :body.n], axis=1)
+    if cols is None:
+        corr = np.abs(pts @ body.gamma)
+        cols = np.sort(np.argpartition(-corr, body.n - 1, axis=1)[:, :body.n], axis=1)
     inv, usable = _inverses(body.gamma.T[cols].transpose(0, 2, 1))
     coeffs = (inv @ xp[:, :, None])[:, :, 0]
     labels = np.where(coeffs >= 0, cols, cols + body.N)
@@ -268,33 +316,47 @@ def _crash_bases(body: RandomQuotientBody, pts: np.ndarray) -> tuple[np.ndarray,
     return labels, binv, np.abs(coeffs), xp, usable
 
 
-def _lockstep_gauges(body: RandomQuotientBody, pts: np.ndarray) -> np.ndarray:
-    """Gauges of the nonzero rows of pts by one phase-2 simplex run over all
-    of them at once; NaN for each row that _gauge_lp must solve instead.
+def _lockstep_gauges(body: RandomQuotientBody, pts: np.ndarray, starts: np.ndarray | None = None,
+                     cutoff: float | np.ndarray | None = None) -> list[LPSolution | None]:
+    """Gauge LPs of the nonzero rows of pts by one phase-2 simplex run over
+    all of them at once: solve_lp's "optimal" or "cutoff" verdict for each
+    row, or None for a row that _gauge_lp must solve instead.
 
     Every row solves the full LP [Gamma, -Gamma] t = x (with solve_lp's
-    perturbed RHS) from its _crash_bases start. The pivots follow solve_lp's
-    phase 2: Dantzig pricing, the _PIV_TOL ratio test with ties to the
-    smallest basis label, rank-1 updates of each basis inverse and a
-    refactor every _REFACTOR_EVERY pivots. The duals y = B^-T 1 of all live rows price in one matrix
-    product; a row leaves the batch once it is optimal. An optimal basis
-    passes solve_lp's closing certificate (certify_basis) and a check that
-    the certified dual is feasible, |<g_j, y>| <= 1 + tol for every j; its
-    gauge is that certificate's objective, so any pivot path to the same
+    perturbed RHS) from its _crash_bases start: the crash columns, or the
+    column set of the row's labels in starts, signed to be primal feasible.
+    cutoff (a number or one per row; None or -inf for none) has solve_lp's
+    meaning: before each pricing pass, a row whose basic values sum to at
+    most its cutoff leaves the batch with status "cutoff" at that basis.
+    The pivots follow solve_lp's phase 2: Dantzig pricing, the _PIV_TOL
+    ratio test with ties to the smallest basis label, rank-1 updates of each
+    basis inverse and a refactor every _REFACTOR_EVERY pivots. The duals
+    y = B^-T 1 of all live rows price in one matrix product; a row leaves
+    the batch once it is optimal. An optimal basis passes solve_lp's closing
+    certificate (certify_basis, on body.plus_minus as it is) and a check
+    that the certified dual is feasible, |<g_j, y>| <= 1 + tol for every j;
+    the row's verdict is that certificate, so any pivot path to the same
     basis gives the same bytes. A row goes to _gauge_lp instead when its
-    crash basis is numerically singular, its degenerate streak exceeds
+    start basis is numerically singular, its degenerate streak exceeds
     _DEGEN_STREAK (solve_lp would switch to Bland), a ratio test finds no
     pivot, the iteration cap is reached or its certificate fails.
     """
     n, big_n = body.n, body.N
     gamma_t = np.ascontiguousarray(body.gamma.T)
-    basis, binv, xb, xp, usable = _crash_bases(body, pts)
+    basis, binv, xb, xp, usable = _crash_bases(body, pts, None if starts is None else starts % big_n)
     rows = np.flatnonzero(usable)  # the input row of each live row
-    basis, binv, xb, xp = basis[rows], binv[rows], xb[rows], xp[rows]
+    limit = np.broadcast_to(-np.inf if cutoff is None else cutoff, pts.shape[:1])
+    basis, binv, xb, xp, limit = basis[rows], binv[rows], xb[rows], xp[rows], limit[rows]
     streak = np.zeros(rows.size, dtype=np.int64)
-    optimal: list[tuple[int, np.ndarray]] = []
+    ended: list[tuple[int, np.ndarray, str]] = []
     ones_n = np.ones(n)
     for pivot in range(1, _ITER_CAP * (n + 2 * big_n) + 1):  # solve_lp's iteration cap
+        stop = xb.sum(axis=1) <= limit
+        if stop.any():
+            ended += zip(rows[stop], basis[stop], repeat("cutoff"))
+            keep = ~stop
+            rows, basis, binv, xb, xp, limit, streak = (
+                rows[keep], basis[keep], binv[keep], xb[keep], xp[keep], limit[keep], streak[keep])
         if rows.size == 0:
             break
         live = np.arange(rows.size)
@@ -303,9 +365,10 @@ def _lockstep_gauges(body: RandomQuotientBody, pts: np.ndarray) -> np.ndarray:
         mag[live[:, None], basis % big_n] = 0.0  # both labels of a basic column
         j = mag.argmax(axis=1)
         done = mag[live, j] <= 1.0 + _GAUGE_PRICE_TOL
-        optimal += zip(rows[done], basis[done])
         enters = proj[live, j] > 0  # reduced cost 1 - <g_j, y> of label j, else of N + j
-        d = (binv @ np.where(enters[:, None], gamma_t[j], -gamma_t[j])[:, :, None])[:, :, 0]
+        column = gamma_t[j]
+        np.negative(column, out=column, where=~enters[:, None])
+        d = (binv @ column[:, :, None])[:, :, 0]
         ratios = np.full(d.shape, np.inf)
         np.divide(np.maximum(xb, 0.0), d, out=ratios, where=d > _PIV_TOL)
         theta = ratios.min(axis=1)
@@ -314,7 +377,9 @@ def _lockstep_gauges(body: RandomQuotientBody, pts: np.ndarray) -> np.ndarray:
         streak = np.where(theta <= 1e-12, streak + 1, 0)
         keep = ~done & np.isfinite(theta) & (streak <= _DEGEN_STREAK)
         if not keep.all():
-            rows, basis, binv, xb, xp = rows[keep], basis[keep], binv[keep], xb[keep], xp[keep]
+            ended += zip(rows[done], basis[done], repeat("optimal"))
+            rows, basis, binv, xb, xp, limit = (rows[keep], basis[keep], binv[keep], xb[keep],
+                                                xp[keep], limit[keep])
             j, enters, d, theta, leave, streak = (j[keep], enters[keep], d[keep], theta[keep],
                                                   leave[keep], streak[keep])
             live = np.arange(rows.size)
@@ -326,21 +391,23 @@ def _lockstep_gauges(body: RandomQuotientBody, pts: np.ndarray) -> np.ndarray:
         xb[live, leave] = theta
         if pivot % _REFACTOR_EVERY == 0:
             binv, usable = _inverses(body.plus_minus.T[basis].transpose(0, 2, 1))
-            rows, basis, binv, xp, streak = (rows[usable], basis[usable], binv[usable],
-                                             xp[usable], streak[usable])
+            rows, basis, binv, xp, limit, streak = (rows[usable], basis[usable], binv[usable],
+                                                    xp[usable], limit[usable], streak[usable])
             xb = (binv @ xp[:, :, None])[:, :, 0]
 
-    gauges = np.full(pts.shape[0], np.nan)
+    sols: list[LPSolution | None] = [None] * pts.shape[0]
     ones = np.ones(2 * big_n)
-    for i, labels in optimal:
+    for i, labels, status in ended:
+        if status == "cutoff":
+            sols[i] = LPSolution(status="cutoff", basis=labels)
+            continue
         try:
-            sol = certify_basis(LPProblem(constraint_matrix=body.plus_minus, rhs=pts[i],
-                                          objective=ones), labels)
+            sol = certify_basis(body.plus_minus, pts[i], ones, labels)
         except NumericError:
             continue
         if np.abs(sol.dual_point @ body.gamma).max() <= 1.0 + _GAUGE_PRICE_TOL:
-            gauges[i] = sol.objective_value
-    return gauges
+            sols[i] = sol
+    return sols
 
 
 def body_norm_with_dual(body: RandomQuotientBody, x) -> tuple[float, np.ndarray]:
@@ -382,9 +449,8 @@ def body_norm_many(body: RandomQuotientBody, xs) -> np.ndarray:
     nonzero = np.flatnonzero(np.any(pts, axis=1))
     for lo in range(0, nonzero.size, _LOCKSTEP_ROWS):
         idx = nonzero[lo:lo + _LOCKSTEP_ROWS]
-        gauges[idx] = _lockstep_gauges(body, pts[idx])
-    for i in np.flatnonzero(np.isnan(gauges)):
-        gauges[i] = _gauge_lp(body, pts[i]).objective_value
+        for i, sol in zip(idx, _lockstep_gauges(body, pts[idx])):
+            gauges[i] = (sol or _gauge_lp(body, pts[i])).objective_value
     return gauges
 
 
@@ -407,11 +473,13 @@ def operator_norm(body: RandomQuotientBody, t) -> float:
     """||T: X_n -> X_n|| = max_j ||T g_j||_B, exact on the hull's extreme points.
 
     The maximum runs through _max_gauge: images whose upper bound cannot beat
-    the best gauge found are pruned, the rest are solved largest lower bound
-    first, each warm-started from a sign-flipped basis of an earlier solve.
-    A solve stops early (is cut) once its basis cannot beat the best gauge;
-    a cut image is then pruned by the l1 cost of that basis or solved again.
-    The result is the objective of one of the LPs solved to optimality.
+    the best gauge found are pruned, and the rest are solved largest lower
+    bound first: the first alone by the scalar LP, then in lock-step batches
+    of 2, 4, 8, ... images, each warm-started from a sign-flipped basis of an
+    earlier solve. A solve stops early (is cut) once its basis cannot beat
+    the best gauge; a cut image is then pruned by the l1 cost of that basis
+    or solved again. The result is the objective of one of the LPs solved to
+    optimality.
     """
     tm = as_matrix(t, "T")
     if tm.shape != (body.n, body.n):
@@ -674,6 +742,8 @@ def parse_body(text: str, source="<string>") -> RandomQuotientBody:
         n, big_n, ms, si = (int(t) for t in tokens[2:])
     except ValueError as exc:
         raise IoError(source, f"non-integer body header field: {exc}") from exc
+    if not 1 <= n <= big_n:
+        raise IoError(source, f"body header needs 1 <= n <= N, got n={n}, N={big_n}")
     gamma = parse_matrix("\n".join(lines[1:]), source)
     if gamma.shape != (n, big_n):
         raise IoError(source, f"header says {n}x{big_n}, matrix is {gamma.shape}")

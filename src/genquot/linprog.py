@@ -252,7 +252,7 @@ def solve_lp(p: LPProblem, start_basis: np.ndarray | None = None,
         basis, binv, iterations = sim.basis.copy(), sim.binv, sim.iterations
         if redundant:
             keep = np.setdiff1d(keep, redundant)
-            a1, b1, b1p, sign = a1[keep], b1[keep], b1p[keep], sign[keep]
+            a1, b1p, sign = a1[keep], b1p[keep], sign[keep]
             basis = basis[keep]
             binv = np.linalg.inv(a1[:, basis])
         if np.any(basis >= v):  # pragma: no cover - exhausted by the loop above
@@ -266,7 +266,7 @@ def solve_lp(p: LPProblem, start_basis: np.ndarray | None = None,
         return LPSolution(status="unbounded", iterations=sim.iterations)
     if status == "cutoff":
         return LPSolution(status="cutoff", iterations=sim.iterations, basis=sim.basis.copy())
-    return _certified(a, a1, b, b1, sign, c, sim.basis, keep, sim.iterations, bscale)
+    return _certified(a, b, sign, c, sim.basis, keep, sim.iterations)
 
 
 def _warm_basis(a1: np.ndarray, b1p: np.ndarray, basis: np.ndarray, m: int,
@@ -282,23 +282,26 @@ def _warm_basis(a1: np.ndarray, b1p: np.ndarray, basis: np.ndarray, m: int,
     return basis.copy(), binv
 
 
-def _certified(a, a1, b, b1, sign, c, basis, row_keep, iterations, bscale) -> LPSolution:
+def _certified(a, b, sign, c, basis, keep, iterations) -> LPSolution:
     """The closing certificate of every "optimal" verdict: refactor the basis,
     recompute x and y from the exact RHS, and check the primal residual and
-    the duality gap. Raises NumericError when a check fails."""
-    v = a1.shape[1]
+    the duality gap. keep indexes the rows of a x = b that phase 1 kept and
+    sign orients them to a nonnegative RHS, as _oriented does; only the
+    oriented m x m basis matrix is built. Raises NumericError when a check
+    fails."""
     # canonical order: x, y and the objective depend on the optimal basis set
     # only, not on the pivot path that reached it
     basis = np.sort(basis)
+    b1 = b[keep] * sign
     try:
-        binv = np.linalg.inv(a1[:, basis])
+        binv = np.linalg.inv(a[keep[:, None], basis] * sign[:, None])
     except np.linalg.LinAlgError as exc:
         raise NumericError("basis matrix became singular") from exc
     xb = binv @ b1
-    x = np.zeros(v)
+    x = np.zeros(a.shape[1])
     x[basis] = np.maximum(xb, 0.0)
     residual = float(np.max(np.abs(a @ x - b)))
-    if residual > 100 * _FEAS_TOL * bscale:
+    if residual > 100 * _FEAS_TOL * (1.0 + float(np.max(np.abs(b)))):
         raise NumericError(f"optimal basis lost feasibility (residual {residual:.3e})")
     y = binv.T @ c[basis]
     obj = float(c @ x)
@@ -307,16 +310,16 @@ def _certified(a, a1, b, b1, sign, c, basis, row_keep, iterations, bscale) -> LP
         raise NumericError(f"duality gap {gap:.3e} exceeds tolerance")
     # rows dropped as redundant carry zero dual weight
     dual = np.zeros(a.shape[0])
-    dual[row_keep] = sign * y
+    dual[keep] = sign * y
     return LPSolution(status="optimal", point=x, objective_value=obj,
                       dual_point=dual, iterations=iterations, basis=basis)
 
 
-def certify_basis(p: LPProblem, basis: np.ndarray) -> LPSolution:
+def certify_basis(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray) -> LPSolution:
     """solve_lp's "optimal" verdict for a basis that another pivot loop found
     optimal: the same closing certificate, tolerances and bytes that solve_lp
-    gives when it ends at this basis. The caller vouches for dual feasibility
-    (its pricing); NumericError when a check fails."""
-    a, b, c = p.constraint_matrix, p.rhs, p.objective
-    sign, a1, b1, bscale = _oriented(a, b)
-    return _certified(a, a1, b, b1, sign, c, basis, np.arange(a.shape[0]), 0, bscale)
+    gives when it ends at this basis of the LP min c.x, A x = b, x >= 0.
+    a, b and c are used as given, without LPProblem's checks or copies, and
+    only the basis columns of a are oriented. The caller vouches for dual
+    feasibility (its pricing); NumericError when a check fails."""
+    return _certified(a, b, np.where(b < 0, -1.0, 1.0), c, basis, np.arange(b.size), 0)

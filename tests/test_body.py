@@ -10,6 +10,7 @@ import genquot as gq
 from genquot.body import (_gauge_lp, _inradius_descent, _polar_walk, _ray_gauges, _unit_sphere,
                           _walked_inradius)
 from genquot import body as body_module, linprog
+from genquot.linprog import _perturbed
 from genquot.sampler import generator
 
 from conftest import angular_net_gauge_ratio, highs_gauges, highs_max_gauge
@@ -184,34 +185,82 @@ class TestMaxGaugeKernel:
 
     @pytest.mark.parametrize("n,big_n", [(8, 16), (8, 64), (16, 32), (16, 128), (16, 256),
                                          (24, 576)])
-    def test_bit_identical_to_cold_maximum(self, n, big_n):
+    def test_bit_identical_to_cold_maximum(self, n, big_n, monkeypatch):
         body = gq.make_body(n, big_n, seed(150, n * big_n))
         operators = _operators(n, 151 + big_n)
         if big_n == 576:  # the widest LPs: two operators keep the cold maxima short
             operators = {k: operators[k] for k in ("gaussian", "orthogonal")}
+        scalar_solves = []
+        solve = body_module.solve_lp
+
+        def spy(*args, **kwargs):
+            scalar_solves.append(1)
+            return solve(*args, **kwargs)
+
         for kind, t in operators.items():
             cold = max(gq.body_norm(body, x) for x in (t @ body.gamma).T)
-            assert gq.operator_norm(body, t) == cold, kind
+            scalar_solves.clear()
+            with monkeypatch.context() as m:
+                m.setattr(body_module, "solve_lp", spy)
+                assert gq.operator_norm(body, t) == cold, kind
+            if big_n == 576:
+                # the lock-step batches take all but the first image and any fallbacks
+                assert 1 <= len(scalar_solves) < 0.05 * big_n, kind
 
     @pytest.mark.parametrize("n,big_n", [(8, 64), (16, 256), (24, 576)])
     def test_forced_cuts_keep_the_cold_maximum(self, n, big_n, monkeypatch):
-        # cutoff=inf stops every cut-eligible solve at its start basis, so
-        # every solve after the first goes through the prune-or-re-solve fallback
+        # cutoff=inf stops every cut-eligible solve at its start basis, scalar or
+        # in a batch, so every solve after the first goes through the
+        # prune-or-re-solve fallback
         body = gq.make_body(n, big_n, seed(155, n * big_n))
         t = _operators(n, 156 + big_n)["gaussian"]
         cold = max(gq.body_norm(body, x) for x in (t @ body.gamma).T)
         solves: dict[bytes, int] = {}
-        cuts = []
+        cuts = {"scalar": [], "batch": []}
 
         def forced(b, x, start_basis=None, cutoff=None):
             solves[x.tobytes()] = solves.get(x.tobytes(), 0) + 1
             sol = _gauge_lp(b, x, start_basis, None if cutoff is None else np.inf)
-            cuts.append(sol.status == "cutoff")
+            cuts["scalar"].append(sol.status == "cutoff")
             return sol
 
+        lockstep = body_module._lockstep_gauges
+
+        def forced_batch(b, pts, starts=None, cutoff=None):
+            sols = lockstep(b, pts, starts, np.where(np.asarray(cutoff) > -np.inf, np.inf, -np.inf))
+            for x, sol in zip(pts, sols):
+                if sol is not None:  # a row left to _gauge_lp is counted there
+                    solves[x.tobytes()] = solves.get(x.tobytes(), 0) + 1
+                    cuts["batch"].append(sol.status == "cutoff")
+            return sols
+
         monkeypatch.setattr(body_module, "_gauge_lp", forced)
+        monkeypatch.setattr(body_module, "_lockstep_gauges", forced_batch)
         assert gq.operator_norm(body, t) == cold
-        assert any(cuts) and max(solves.values()) == 2
+        assert any(cuts["batch"]) and max(solves.values()) == 2
+
+    @pytest.mark.parametrize("n,big_n", [(8, 64), (16, 256)])
+    def test_rows_a_batch_leaves_go_to_the_scalar_lp(self, n, big_n, monkeypatch):
+        body = gq.make_body(n, big_n, seed(157, n * big_n))
+        t = _operators(n, 158 + big_n)["gaussian"]
+        cold = max(gq.body_norm(body, x) for x in (t @ body.gamma).T)
+        lockstep = body_module._lockstep_gauges
+        left: list[bytes] = []
+        scalar: list[bytes] = []
+
+        def every_other_row_left(b, pts, starts=None, cutoff=None):
+            sols = lockstep(b, pts, starts, cutoff)
+            left.extend(x.tobytes() for x in pts[1::2])
+            return [None if k % 2 else sol for k, sol in enumerate(sols)]
+
+        def gauge_spy(b, x, start_basis=None, cutoff=None):
+            scalar.append(x.tobytes())
+            return _gauge_lp(b, x, start_basis, cutoff)
+
+        monkeypatch.setattr(body_module, "_lockstep_gauges", every_other_row_left)
+        monkeypatch.setattr(body_module, "_gauge_lp", gauge_spy)
+        assert gq.operator_norm(body, t) == cold
+        assert left and scalar[1:] == left  # after the first image, exactly the rows left
 
     def test_identity_ties_within_roundoff(self):
         # every g_j has gauge exactly 1: the maximum is decided by roundoff
@@ -269,7 +318,8 @@ class TestLockstepGauges:
             return certify(*args, **kwargs)
 
         monkeypatch.setattr(body_module, "certify_basis", spy)
-        assert not np.isnan(body_module._lockstep_gauges(body, dirs)).any()
+        sols = body_module._lockstep_gauges(body, dirs)
+        assert all(sol is not None and sol.status == "optimal" for sol in sols)
         assert len(certified) == len(dirs)  # every batched gauge passed solve_lp's certificate
         got = gq.body_norm_many(body, dirs)
         assert got.tobytes() == np.array([gq.body_norm(body, x) for x in dirs]).tobytes()
@@ -287,6 +337,43 @@ class TestLockstepGauges:
         others = gq.gaussian_matrix(20, n, 1.0, seed(164, 2))
         mixed = gq.body_norm_many(body, np.vstack([others, dirs[:6]]))
         assert mixed[20:].tobytes() == got[:6].tobytes()
+
+    @pytest.mark.parametrize("n,big_n", [(8, 64), (16, 256), (24, 576)])
+    def test_warm_labels_and_cutoff(self, n, big_n):
+        # every row starts from the sign-flipped optimal column set of another
+        # point's LP; a third run without a cutoff, the rest with one
+        body = gq.make_body(n, big_n, seed(174, n))
+        dirs = _section_directions(n, 24, 175 + n)
+        cols = np.sort(_gauge_lp(body, dirs[-1]).basis % big_n)
+        coeffs = np.linalg.solve(body.gamma[:, cols], dirs.T).T
+        starts = np.where(coeffs >= 0, cols, cols + big_n)
+        gauges = np.array([gq.body_norm(body, x) for x in dirs])
+        cutoff = np.where(np.arange(len(dirs)) % 3 == 0, -np.inf, np.median(gauges))
+        sols = body_module._lockstep_gauges(body, dirs, starts, cutoff)
+        statuses = [sol.status for sol in sols]
+        assert "optimal" in statuses and "cutoff" in statuses
+        for x, sol, limit, gauge in zip(dirs, sols, cutoff, gauges):
+            if sol.status == "optimal":
+                assert sol.objective_value.hex() == gauge.hex()
+                assert gauge > limit * (1 - 1e-9)  # never at most the cutoff
+                continue
+            assert sol.status == "cutoff" and limit > -np.inf
+            sign = np.where(x < 0, -1.0, 1.0)
+            basic = np.linalg.solve(body.plus_minus[:, sol.basis], sign * _perturbed(x * sign))
+            assert basic.min() >= -1e-9  # a feasible basis of the perturbed LP
+            assert basic.sum() <= limit * (1 + 1e-12)
+
+    def test_unusable_start_goes_to_scalar_path(self):
+        g = gq.gaussian_matrix(8, 40, 0.125, seed(176))
+        body = gq.body_from_matrix(np.hstack([g, g[:, :1]]))  # column 40 == column 0
+        dirs = _section_directions(8, 3, 177)
+        starts = np.tile(np.arange(1, 9), (3, 1))
+        starts[1, :2] = [0, 40]  # a singular Gamma_S
+        # a cutoff of inf ends every usable row at its start basis
+        sols = body_module._lockstep_gauges(body, dirs, starts, np.inf)
+        assert sols[1] is None
+        for sol in (sols[0], sols[2]):
+            assert sol.status == "cutoff" and np.sort(sol.basis % 41).tolist() == list(range(1, 9))
 
     def test_zero_rows_give_zero(self):
         body = gq.make_body(8, 64, seed(166))
@@ -312,8 +399,8 @@ class TestLockstepGauges:
             return inv, usable
 
         monkeypatch.setattr(body_module, "_inverses", inverses_spy)
-        lockstep = body_module._lockstep_gauges(body, pts)
-        assert not crash_usable[0][0] and np.isnan(lockstep[0])
+        lockstep = np.array([sol is None for sol in body_module._lockstep_gauges(body, pts)])
+        assert not crash_usable[0][0] and lockstep[0]
         scalar_rows = []
 
         def gauge_spy(b, v, start_basis=None, cutoff=None):
@@ -322,7 +409,7 @@ class TestLockstepGauges:
 
         monkeypatch.setattr(body_module, "_gauge_lp", gauge_spy)
         got = gq.body_norm_many(body, pts)
-        assert scalar_rows == [v.tobytes() for v in pts[np.isnan(lockstep)]]
+        assert scalar_rows == [v.tobytes() for v in pts[lockstep]]
         assert got.tobytes() == np.array([gq.body_norm(body, v) for v in pts]).tobytes()
         assert got == pytest.approx(highs_gauges(body.gamma, pts), rel=1e-9)
 
@@ -330,7 +417,7 @@ class TestLockstepGauges:
         body = gq.make_body(16, 256, seed(170))
         pts = np.vstack([_section_directions(16, 8, 171), np.zeros(16)])
         monkeypatch.setattr(body_module, "_lockstep_gauges",
-                            lambda b, p: np.full(p.shape[0], np.nan))
+                            lambda b, p: [None] * p.shape[0])
         got = gq.body_norm_many(body, pts)
         assert got.tobytes() == np.array([gq.body_norm(body, x) for x in pts]).tobytes()
 

@@ -99,7 +99,14 @@ def test_zero_row_body_file_exits_2(tmp_path, capsys):
     path = tmp_path / "empty.mtx"
     path.write_text("GENQUOT-BODY v1 0 5 0 0\n0 5\n")
     assert main(["norm", "--body", str(path), "--vec", "1"]) == 2
-    _assert_usage_error_line(capsys.readouterr().err)
+    _assert_io_error_line(capsys.readouterr().err, path)
+
+
+def test_more_rows_than_columns_body_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "tall.mtx"
+    path.write_text("GENQUOT-BODY v1 3 2 0 0\n3 2\n1 0\n0 1\n1 1\n")
+    assert main(["norm", "--body", str(path), "--vec", "1,1,1"]) == 2
+    _assert_io_error_line(capsys.readouterr().err, path)
 
 
 def test_shiftsearch(body_file, tmp_path, capsys):
