@@ -466,7 +466,9 @@ def dual_norm_many(body: RandomQuotientBody, us) -> np.ndarray:
     pts = as_matrix(us, "points")
     if pts.shape[1] != body.n:
         raise UsageError(f"points have dimension {pts.shape[1]}, body has {body.n}")
-    return np.max(np.abs(pts @ body.gamma), axis=1)
+    p = pts @ body.gamma
+    # max |p| without an |p| copy; + 0.0 gives a zero row the +0.0 of |p|, not -0.0
+    return np.maximum(p.max(axis=1), -p.min(axis=1)) + 0.0
 
 
 def operator_norm(body: RandomQuotientBody, t) -> float:
@@ -493,18 +495,14 @@ def _max_on_line(unit: np.ndarray, points: np.ndarray, gauge: float) -> float:
     return float(np.max(np.abs(unit @ points.T)) * gauge)
 
 
-def _ray_gauges(body: RandomQuotientBody, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """||x||_B and ||y||_B for a nonzero x and a positive multiple y of it.
-
-    x's gauge LP is solved from its crash start and y's from x's optimal basis.
-    Reduced costs do not depend on the right-hand side and the basic values
-    scale with it, so that basis stays optimal for every positive multiple
-    of x (RHS sensitivity): y's solve makes no pivots and still ends in
-    solve_lp's closing certificate, whose bytes depend on the basis only.
-    solve_lp falls back to phase 1 if rounding leaves the basis unusable for y.
-    """
-    sol = _gauge_lp(body, x)
-    return float(sol.objective_value), float(_gauge_lp(body, y, sol.basis).objective_value)
+def _column_gauge(body: RandomQuotientBody, j: int) -> float:
+    """||g_j||_B. The feasible t = e_j costs 1, and y = g_j / |g_j|^2 has <g_j, y> = 1:
+    if max_i |<g_i, y>| <= 1 + _GAUGE_PRICE_TOL (_lockstep_gauges' dual tolerance),
+    the pair proves the gauge is 1.0 with no gap. Otherwise g_j's LP is solved."""
+    g = body.gamma[:, j]
+    if np.abs((g / body.column_norms[j] ** 2) @ body.gamma).max() <= 1.0 + _GAUGE_PRICE_TOL:
+        return 1.0
+    return float(_gauge_lp(body, g).objective_value)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import (RandomQuotientBody, _max_gauge, _max_on_line, _ray_gauges, _unit_sphere,
-                   body_norm, body_norm_many, section_distortion)
+from .body import (RandomQuotientBody, _column_gauge, _max_gauge, _max_on_line, _unit_sphere,
+                   body_norm_many, section_distortion)
 from .errors import ConditionFailed, IoError, UsageError
 from .linalg import (check_orthonormal, format_matrix, json_field, orthonormalize, parse_matrix,
                      read_json, write_text)
@@ -184,16 +184,17 @@ def _measure_l1(body: RandomQuotientBody, a: np.ndarray, stream: SeedSpec,
                               {"max_leak": max_leak, "threshold": leak_cap, "k": k})
 
     if k == 1:
-        # E is the line of b = basis[:, 0] = g_a / |g_a|, where both inverse-map ratios are
-        # constant: one cold LP gives ||b||_B, for them and for the complementation
-        # constant max_j |<b, g_j>| ||b||_B; g_a's own LP starts at b's optimal basis
+        # E is the line of b = basis[:, 0] = +-g_a / |g_a|, where both inverse-map ratios are
+        # constant: by homogeneity ||b||_B = ||g_a||_B / |g_a| gives them and the
+        # complementation constant max_j |<b, g_j>| ||b||_B
         b = basis[:, 0]
-        line_gauge, u_norm = _ray_gauges(body, b, body.gamma[:, a[0]])
+        u_norm = _column_gauge(body, a[0])
+        line_gauge = u_norm / body.column_norms[a[0]]
         sup_ratio = 1.0 / line_gauge
         inv_direct = float(np.abs(np.linalg.pinv(block) @ b).sum()) / line_gauge
         compl = _max_on_line(b, (basis @ (basis.T @ body.gamma)).T, line_gauge)
     else:
-        u_norm = max(body_norm(body, body.gamma[:, j]) for j in a)
+        u_norm = max(_column_gauge(body, j) for j in a)
         sup_ratio, inv_direct = _inverse_map_estimates(body, block, basis,
                                                        stream.child(_ISO_STREAM_OFFSET))
         compl = complementation_norm(body, basis)

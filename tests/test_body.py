@@ -7,7 +7,7 @@ import pytest
 
 import genquot as gq
 
-from genquot.body import (_gauge_lp, _inradius_descent, _polar_walk, _ray_gauges, _unit_sphere,
+from genquot.body import (_column_gauge, _gauge_lp, _inradius_descent, _polar_walk, _unit_sphere,
                           _walked_inradius)
 from genquot import body as body_module, linprog
 from genquot.linprog import _perturbed
@@ -127,6 +127,12 @@ class TestDualNorm:
         for _ in range(100):
             x, u = rng.normal(size=4), rng.normal(size=4)
             assert x @ u <= gq.body_norm(body, x) * gq.dual_norm(body, u) + 1e-8
+
+    def test_many_has_the_bytes_of_the_abs_max(self):
+        body = gq.make_body(24, 576, seed(46))
+        us = np.vstack([np.zeros(24), _unit_sphere(generator(seed(46, 1)), 2000, 24)])
+        want = np.max(np.abs(us @ body.gamma), axis=1)
+        assert gq.dual_norm_many(body, us).tobytes() == want.tobytes()
 
     def test_many_rejects_wrong_dimension(self, cross2):
         with pytest.raises(gq.UsageError):
@@ -267,7 +273,7 @@ class TestMaxGaugeKernel:
         body = gq.make_body(16, 128, seed(152))
         assert gq.operator_norm(body, np.eye(16)) == pytest.approx(1.0, rel=1e-13)
 
-    def test_column_generation_path_against_highs(self):
+    def test_wide_operator_norm_against_highs(self):
         body = gq.make_body(24, 576, seed(153))  # 2N = 1152 columns
         t = gq.gaussian_matrix(24, 24, 1.0, seed(153, 1))
         ref = highs_max_gauge(body.gamma, (t @ body.gamma).T)
@@ -422,17 +428,34 @@ class TestLockstepGauges:
         assert got.tobytes() == np.array([gq.body_norm(body, x) for x in pts]).tobytes()
 
 
-class TestRayGauges:
-    @pytest.mark.parametrize("n,big_n", [(16, 128), (24, 576), (36, 1296)])
-    def test_warm_multiple_has_the_bytes_of_a_cold_gauge(self, n, big_n):
-        # the column g_j starts at the optimal basis of its direction's LP
-        body = gq.make_body(n, big_n, seed(172, n))
-        for j in range(4):
-            g = body.gamma[:, j]
-            unit = g / body.column_norms[j]
-            line, column = _ray_gauges(body, unit, g)
-            assert line == gq.body_norm(body, unit)
-            assert column.hex() == gq.body_norm(body, g).hex(), j
+class TestColumnGauge:
+    def test_self_supporting_columns_are_exactly_one(self, monkeypatch):
+        body = gq.make_body(36, 1296, seed(172))
+        g = body.gamma
+        cols = [j for j in range(8) if np.abs(g[:, j] @ g).max() <= (1 + 1e-12) * (g[:, j] @ g[:, j])]
+        assert cols  # max_i |<g_i, g_j>| <= |g_j|^2: g_j supports B at itself
+        lps = []
+        monkeypatch.setattr(body_module, "_gauge_lp", lambda *args: lps.append(args))
+        assert [_column_gauge(body, j) for j in cols] == [1.0] * len(cols)
+        assert not lps
+        assert highs_gauges(g, g[:, cols].T) == pytest.approx(1.0, rel=1e-9)
+
+    def test_scaled_copy_fails_the_certificate_and_solves_its_lp(self, monkeypatch):
+        g = gq.make_body(36, 1296, seed(173)).gamma
+        body = gq.body_from_matrix(np.hstack([g, 0.3 * g[:, :1]]))  # column 1296 = 0.3 g_0
+        x = body.gamma[:, 1296]
+        assert np.abs((x / (x @ x)) @ body.gamma).max() > 3.0  # <g_0, y> = 1 / 0.3
+        solved = []
+
+        def gauge_spy(b, v, start_basis=None, cutoff=None):
+            solved.append(v.tobytes())
+            return _gauge_lp(b, v, start_basis, cutoff)
+
+        monkeypatch.setattr(body_module, "_gauge_lp", gauge_spy)
+        value = _column_gauge(body, 1296)
+        assert solved == [x.tobytes()]
+        assert value == pytest.approx(0.3, rel=1e-12)
+        assert value == pytest.approx(highs_gauges(body.gamma, x[None])[0], rel=1e-9)
 
 
 class TestRadii:

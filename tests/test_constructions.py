@@ -7,7 +7,8 @@ import pytest
 
 import genquot as gq
 from genquot import body as body_module
-from genquot.constructions import _measure_l1, auto_l1_dim, auto_l2_dim
+from genquot.constructions import (_ISO_STREAM_OFFSET, _inverse_map_estimates, _measure_l1,
+                                   auto_l1_dim, auto_l2_dim)
 
 from conftest import angular_net_gauge_ratio, highs_gauges, highs_max_gauge
 
@@ -54,6 +55,20 @@ class TestFindL1:
         wit = gq.find_l1_subspace(body, k=2, seed=seed(104, 1))
         devs = gq.verify_witness(body, wit)
         assert max(devs.values()) <= 1e-9
+
+    def test_iso_constant_from_column_gauges_against_highs(self):
+        g = gq.make_body(16, 128, seed(104)).gamma
+        # columns 128 and 129 are 0.3 g_0 and 0.5 g_1: both fail _column_gauge's certificate
+        body = gq.body_from_matrix(np.hstack([g, 0.3 * g[:, :1], 0.5 * g[:, 1:2]]))
+        for a in ((5, 77), (128, 129)):
+            stream = seed(105, a[0])
+            wit = _measure_l1(body, np.array(a), stream)
+            u_norm = highs_gauges(body.gamma, body.gamma[:, a].T).max()
+            sup_ratio, inv_direct = _inverse_map_estimates(
+                body, body.gamma[:, a], wit.basis, stream.child(_ISO_STREAM_OFFSET))
+            iso = max(1.0, u_norm * min(np.sqrt(2) / wit.sigma_min * sup_ratio, inv_direct))
+            assert wit.iso_constant == pytest.approx(iso, rel=1e-9), a
+        assert u_norm == pytest.approx(0.5, rel=1e-9) and wit.iso_constant > 1.0
 
     def test_witness_roundtrip(self, tmp_path):
         body = gq.make_body(25, 100, seed(105))
@@ -193,7 +208,7 @@ class TestComplementationNorm:
             cold = max(gq.body_norm(body, x) for x in proj.T)
             assert gq.complementation_norm(body, basis) == cold, h
 
-    def test_column_generation_path_against_highs(self):
+    def test_wide_complementation_norm_against_highs(self):
         body = gq.make_body(24, 576, seed(127))  # 2N = 1152 columns
         basis = gq.haar_subspace(24, 3, seed(127, 1)).basis
         ref = highs_max_gauge(body.gamma, (basis @ (basis.T @ body.gamma)).T)
@@ -206,39 +221,42 @@ class TestComplementationNorm:
 
 
 class TestLineWitness:
-    """A witness on a line (k = 1 or h = 1) solves the line's gauge LP once."""
+    """A witness on a line (k = 1 or h = 1) solves at most the line's gauge LP."""
 
     @pytest.mark.parametrize("n,big_n", [(16, 128), (24, 576), (36, 1296)])
     def test_l1_line_makes_one_cold_solve(self, n, big_n, monkeypatch):
-        # cold: not started from an earlier optimal basis (_gauge_lp's crash start)
+        # none when g_a supports B at itself (_column_gauge's certificate proves
+        # ||g_a||_B = 1), and one cold LP for a column that does not
         body = gq.make_body(n, big_n, seed(130, n))
+        g = body.gamma
+        a = next(j for j in range(big_n)
+                 if np.abs(g[:, j] @ g).max() <= (1 + 1e-12) * (g[:, j] @ g[:, j]))
+        wider = gq.body_from_matrix(np.hstack([g, 0.3 * g[:, [a]]]))  # column N = 0.3 g_a
         calls = []
-        solves = []
         gauge_lp, solve = body_module._gauge_lp, body_module.solve_lp
 
         def gauge_spy(b, x, start_basis=None, cutoff=None):
-            sol = gauge_lp(b, x, start_basis, cutoff)
-            calls.append((x.tobytes(), start_basis is None, sol.iterations))
-            return sol
+            calls.append(("gauge", x.tobytes(), start_basis is None))
+            return gauge_lp(b, x, start_basis, cutoff)
 
         def solve_spy(*args, **kwargs):
-            solves.append(1)
+            calls.append(("solve",))
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(body_module, "_gauge_lp", gauge_spy)
         monkeypatch.setattr(body_module, "solve_lp", solve_spy)
-        wit = _measure_l1(body, np.array([3]), seed(131, n))
-        line = wit.basis[:, 0].tobytes()
-        assert calls[0][:2] == (line, True)
-        assert [rhs for rhs, _, _ in calls].count(line) == 1
-        assert [cold for _, cold, _ in calls].count(True) == 1
-        assert len(solves) == len(calls)  # one solve_lp call per gauge
-        # solve_lp counts pricing passes: 1 is the pass that finds the start optimal, no pivot
-        column = [passes for rhs, _, passes in calls if rhs != line]
-        assert column and all(passes == 1 for passes in column)
-        calls.clear()
+        wit = _measure_l1(body, np.array([a]), seed(131, n))
+        assert calls == []
         assert max(gq.verify_witness(body, wit).values()) == 0.0
-        assert [cold for _, cold, _ in calls].count(True) == 1  # measured again, from scratch
+        assert calls == []
+        scaled = _measure_l1(wider, np.array([big_n]), seed(131, n))
+        once = [("gauge", wider.gamma[:, big_n].tobytes(), True), ("solve",)]
+        assert calls == once
+        # the same line as g_a's: ||b||_B = 0.3 / (0.3 |g_a|) by homogeneity
+        assert scaled.compl_constant == pytest.approx(wit.compl_constant, rel=1e-12)
+        calls.clear()
+        assert max(gq.verify_witness(wider, scaled).values()) == 0.0
+        assert calls == once  # measured again, from scratch
 
     @pytest.mark.parametrize("n,big_n", [(16, 128), (24, 576)])
     def test_l1_line_constants_against_highs(self, n, big_n):
