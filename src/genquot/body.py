@@ -19,8 +19,10 @@ products over the whole batch, and every row starts from a feasible crash
 basis, so none runs phase 1. The inradius estimate there walks the edges of
 the polar body from the dual vertex of a gauge LP to a locally farthest
 vertex; sigma_min(Gamma) / sqrt(N) is a certified floor under it. At every
-dimension the max-of-gauges kernel behind operator_norm solves its images
-in such lock-step batches too, warm-started and with an objective cutoff.
+dimension the max-of-gauges kernel behind operator_norm first prunes the
+images whose gauge an l1 representation proves below the best LP value
+(the floor turns an inexact representation into a bound), and solves the
+rest in such lock-step batches too, warm-started and with an objective cutoff.
 
 Bodies are immutable after construction; every operation here is a read-only
 pure function (Monte Carlo ones of their SeedSpec too) and safe to call from
@@ -71,6 +73,8 @@ _INVERSE_RESIDUAL = 1e-8  # a basis inverse missing the identity by more is unus
 VOLUME_DIM_CAP = 8
 _DESCENT_STEPS = 100  # radii: subgradient steps per restart before the polar walk
 _DESCENT_DECAY = 0.97  # radii: step-size factor per descent step
+_IRLS_STEPS = 4  # _max_gauge's certificate pass: reweighted steps after the minimum-norm start
+_IRLS_FLOOR = 1e-3  # reweighting: w_j = |t_j| + _IRLS_FLOOR * max|t|
 
 
 @dataclass(frozen=True)
@@ -147,18 +151,25 @@ def make_body(n: int, N: int, seed: SeedSpec) -> RandomQuotientBody:
 
 
 def body_from_matrix(gamma, seed: SeedSpec = SeedSpec(0, 0)) -> RandomQuotientBody:
-    """Wrap an explicit column matrix as a body (used for injected test bodies)."""
+    """Wrap an explicit column matrix as a body (used for injected test bodies).
+
+    Gamma must have 1 <= n <= N, no zero column (column gauges and witness
+    blocks divide by |g_j|) and full rank.
+    """
     g = as_matrix(gamma, "gamma")
     n, N = g.shape
     if not 1 <= n <= N:
         raise UsageError(f"need 1 <= n <= N, got n={n}, N={N}")
+    norms = np.linalg.norm(g, axis=0)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise UsageError(f"column {zero[0]} of gamma (counting from 0) is zero")
     smin = float(np.linalg.svd(g, compute_uv=False)[-1])
     if smin <= _RANK_TOL:
         raise NumericError(
             f"gamma is rank deficient: smallest singular value {smin:.3e} <= {_RANK_TOL:g} "
             f"(n={n}, N={N}, seed={seed.as_tuple()})"
         )
-    norms = np.linalg.norm(g, axis=0)
     return RandomQuotientBody(n=n, N=N, gamma=g, seed=seed, column_norms=norms, sigma_min=smin)
 
 
@@ -196,6 +207,11 @@ def _max_gauge(body: RandomQuotientBody, points: np.ndarray) -> float:
     columns +-g_j. A point whose upper bound is at most the best LP value
     found is never solved.
 
+    Certificates: right after the first solve sets best, one _proven_below
+    pass bounds the gauge of every point still unsolved by the l1 cost of a
+    reweighted least-squares preimage, with no LP. A point whose bound
+    * (1 + 1e-9) is at most best is never solved; most points are pruned here.
+
     Batches: the point of largest lower bound is solved alone by _gauge_lp.
     The next unsolved points in lower-bound order are then solved together
     by _lockstep_gauges, in batches of 2, 4, 8, ... up to _LOCKSTEP_ROWS (a
@@ -232,7 +248,8 @@ def _max_gauge(body: RandomQuotientBody, points: np.ndarray) -> float:
         if live.size == 0:
             return best
         idx = live[np.argsort(-lower[live], kind="stable")[:size]]
-        cutoff = np.where(cut[idx] | (best == 0.0), -np.inf, best)
+        first = best == 0.0  # the first solve: alone, never cut, then the certificate pass
+        cutoff = np.where(cut[idx] | first, -np.inf, best)
         sols = _lockstep_gauges(body, pts[idx], starts[idx], cutoff) if idx.size > 1 else [None]
         sols = [sol or _gauge_lp(body, pts[i], starts[i] if np.isfinite(upper[i]) else None,
                                  None if c == -np.inf else c)
@@ -247,6 +264,63 @@ def _max_gauge(body: RandomQuotientBody, points: np.ndarray) -> float:
             np.maximum(lower, np.abs(pts @ duals.T).max(axis=1), out=lower)
         _tighten_upper(body, pts, np.array([sol.basis for sol in sols]) % body.N,
                        np.flatnonzero(unsolved), upper, starts)
+        if first:
+            rest = np.flatnonzero(unsolved & (upper > best))
+            unsolved[rest] = ~_proven_below(body, pts[rest], best)
+
+
+def _proven_below(body: RandomQuotientBody, pts: np.ndarray, best) -> np.ndarray:
+    """Mask of the rows x of pts whose gauge is proven below best (a number,
+    or one per row) with no LP: bound * (1 + 1e-9) <= best for an upper bound
+    on ||x||_B.
+
+    Any t gives a bound: ||x||_B <= ||Gamma t||_B + ||x - Gamma t||_B
+    <= ||t||_1 + |x - Gamma t|_2 / inradius_floor, since B contains the
+    Euclidean ball of that radius. t starts at the minimum-norm preimage
+    Gamma^T (Gamma Gamma^T)^-1 x and takes up to _IRLS_STEPS iteratively
+    reweighted least-squares steps toward the minimum-l1 one,
+    t <- W Gamma^T (Gamma W Gamma^T)^-1 x with W = diag(|t| + _IRLS_FLOOR max|t|);
+    a row stops once a bound proves it, or when its bound is not finite.
+    Each row and its best are first scaled by the power of two that brings
+    max_i |x_i| into [1/2, 1), which is exact, so no bound underflows or
+    overflows. Gamma W Gamma^T is one product of the weights with the packed
+    outer products g_j g_j^T, and the rows go in chunks of about 2^14
+    coefficients per temporary, as in _tighten_upper.
+    """
+    g = body.gamma
+    n, big_n = g.shape
+    pairs = np.triu_indices(n)
+    outer = g[pairs[0]]
+    outer *= g[pairs[1]]  # column j: g_j g_j^T packed, so w @ outer.T packs Gamma W Gamma^T
+    unpack = np.empty((n, n), dtype=np.int64)
+    unpack[pairs] = unpack.T[pairs] = np.arange(pairs[0].size)
+    least = np.linalg.solve(g @ g.T, g)  # x @ least is x's minimum-norm preimage
+    exp = np.frexp(np.abs(pts).max(axis=1))[1]
+    x, limit = np.ldexp(pts, -exp[:, None]), np.ldexp(best, -exp)
+    proven = np.zeros(pts.shape[0], dtype=bool)
+    step = max(1, (1 << 14) // max(big_n, n * n))
+    for lo in range(0, pts.shape[0], step):
+        rows = np.arange(lo, min(lo + step, pts.shape[0]))
+        xr = x[rows]
+        t = xr @ least
+        for k in range(_IRLS_STEPS + 1):
+            if k:
+                w = np.abs(t)
+                w += _IRLS_FLOOR * w.max(axis=1, keepdims=True)
+                try:
+                    z = np.linalg.solve((w @ outer.T)[:, unpack], xr[:, :, None])[:, :, 0]
+                except np.linalg.LinAlgError:  # an exactly singular system proves nothing more
+                    break
+                t = w * (z @ g)
+            bound = (np.abs(t).sum(axis=1)
+                     + np.linalg.norm(xr - t @ g.T, axis=1) / body.inradius_floor)
+            done = bound * (1 + 1e-9) <= limit[rows]
+            proven[rows[done]] = True
+            keep = ~done & np.isfinite(bound)
+            rows, xr, t = rows[keep], xr[keep], t[keep]
+            if rows.size == 0:
+                break
+    return proven
 
 
 def _tighten_upper(body: RandomQuotientBody, pts: np.ndarray, cols: np.ndarray,
@@ -474,14 +548,15 @@ def dual_norm_many(body: RandomQuotientBody, us) -> np.ndarray:
 def operator_norm(body: RandomQuotientBody, t) -> float:
     """||T: X_n -> X_n|| = max_j ||T g_j||_B, exact on the hull's extreme points.
 
-    The maximum runs through _max_gauge: images whose upper bound cannot beat
-    the best gauge found are pruned, and the rest are solved largest lower
-    bound first: the first alone by the scalar LP, then in lock-step batches
-    of 2, 4, 8, ... images, each warm-started from a sign-flipped basis of an
-    earlier solve. A solve stops early (is cut) once its basis cannot beat
-    the best gauge; a cut image is then pruned by the l1 cost of that basis
-    or solved again. The result is the objective of one of the LPs solved to
-    optimality.
+    The maximum runs through _max_gauge: the image of largest lower bound is
+    solved first, by the scalar LP; then images whose gauge is proven below
+    that value, by an l1 representation found by reweighted least squares or
+    by the column set of a solved basis, are pruned with no LP. The rest are
+    solved largest lower bound first in lock-step batches of 2, 4, 8, ...
+    images, each warm-started from a sign-flipped basis of an earlier solve.
+    A solve stops early (is cut) once its basis cannot beat the best gauge; a
+    cut image is then pruned by the l1 cost of that basis or solved again.
+    The result is the objective of one of the LPs solved to optimality.
     """
     tm = as_matrix(t, "T")
     if tm.shape != (body.n, body.n):
@@ -745,7 +820,10 @@ def parse_body(text: str, source="<string>") -> RandomQuotientBody:
     gamma = parse_matrix("\n".join(lines[1:]), source)
     if gamma.shape != (n, big_n):
         raise IoError(source, f"header says {n}x{big_n}, matrix is {gamma.shape}")
-    return body_from_matrix(gamma, SeedSpec(ms, si))
+    try:
+        return body_from_matrix(gamma, SeedSpec(ms, si))
+    except UsageError as exc:  # a zero column
+        raise IoError(source, str(exc)) from exc
 
 
 def save_body(body: RandomQuotientBody, path) -> None:

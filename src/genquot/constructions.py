@@ -259,7 +259,9 @@ def complementation_norm(body: RandomQuotientBody, basis) -> float:
 
     Extreme-point formula: the norm is attained at some vertex g_j, so it is
     max_j ||P g_j||_B, taken by _max_gauge's exact pruned maximum as in
-    operator_norm.
+    operator_norm: after the first LP most images are pruned by l1
+    certificates, and the value is the objective of an LP solved to
+    optimality.
     """
     b = check_orthonormal(basis, name="subspace basis")
     if b.shape[0] != body.n:

@@ -7,8 +7,8 @@ import pytest
 
 import genquot as gq
 
-from genquot.body import (_column_gauge, _gauge_lp, _inradius_descent, _polar_walk, _unit_sphere,
-                          _walked_inradius)
+from genquot.body import (_column_gauge, _gauge_lp, _inradius_descent, _polar_walk,
+                          _proven_below, _unit_sphere, _walked_inradius)
 from genquot import body as body_module, linprog
 from genquot.linprog import _perturbed
 from genquot.sampler import generator
@@ -44,6 +44,11 @@ class TestMakeBody:
         m = np.ones((3, 4))
         with pytest.raises(gq.NumericError):
             gq.body_from_matrix(m)
+
+    def test_zero_column_rejected(self):
+        # full rank, but a zero column is no vertex of B and has no column gauge
+        with pytest.raises(gq.UsageError, match="column 3 "):
+            gq.body_from_matrix(np.hstack([np.eye(3), np.zeros((3, 1))]))
 
     def test_column_norm_concentration(self):
         # columns land in [1/2, 2] for nearly every body at (n, N) = (50, 100)
@@ -186,6 +191,10 @@ def _operators(n: int, s: int) -> dict[str, np.ndarray]:
     }
 
 
+def _prunes_nothing(body, pts, best):
+    return np.zeros(pts.shape[0], dtype=bool)
+
+
 class TestMaxGaugeKernel:
     """operator_norm prunes and warm-starts; its value must be the cold maximum."""
 
@@ -242,6 +251,7 @@ class TestMaxGaugeKernel:
 
         monkeypatch.setattr(body_module, "_gauge_lp", forced)
         monkeypatch.setattr(body_module, "_lockstep_gauges", forced_batch)
+        monkeypatch.setattr(body_module, "_proven_below", _prunes_nothing)  # keep the batches
         assert gq.operator_norm(body, t) == cold
         assert any(cuts["batch"]) and max(solves.values()) == 2
 
@@ -265,6 +275,7 @@ class TestMaxGaugeKernel:
 
         monkeypatch.setattr(body_module, "_lockstep_gauges", every_other_row_left)
         monkeypatch.setattr(body_module, "_gauge_lp", gauge_spy)
+        monkeypatch.setattr(body_module, "_proven_below", _prunes_nothing)  # keep the batches
         assert gq.operator_norm(body, t) == cold
         assert left and scalar[1:] == left  # after the first image, exactly the rows left
 
@@ -300,6 +311,80 @@ class TestMaxGaugeKernel:
         q = gq.operator_norm(body, t)
         assert q == pytest.approx(max(gq.body_norm(body, x) for x in images), rel=1e-13)
         assert q == pytest.approx(highs_max_gauge(body.gamma, images), rel=1e-9)
+
+
+def _body_with_copied_column(kind: str):
+    # the column-gauge test's 0.3 g_0 copy and the phase-one tests' duplicated column
+    if kind == "scaled-36x1297":
+        g = gq.make_body(36, 1296, seed(173)).gamma
+        return gq.body_from_matrix(np.hstack([g, 0.3 * g[:, :1]]))
+    n, big_n, s = {"duplicated-4x11": (4, 10, 154), "duplicated-8x41": (8, 40, 176)}[kind]
+    g = gq.gaussian_matrix(n, big_n, 1.0 / n, seed(s))
+    return gq.body_from_matrix(np.hstack([g, g[:, :1]]))
+
+
+class TestProvenBelow:
+    """_max_gauge's certificate pass: l1 bounds from reweighted least squares."""
+
+    @staticmethod
+    def _points(body, count, s):
+        # random points and operator images, where the certificate runs in _max_gauge
+        t = gq.gaussian_matrix(body.n, body.n, 1.0, seed(s, 1))
+        pts = np.vstack([gq.gaussian_matrix(count, body.n, 1.0, seed(s, 2)),
+                         (t @ body.gamma[:, :count]).T])
+        return pts, highs_gauges(body.gamma, pts)
+
+    @pytest.mark.parametrize("n,big_n", [(8, 64), (16, 256), (24, 576)])
+    def test_bound_is_at_least_the_gauge(self, n, big_n):
+        body = gq.make_body(n, big_n, seed(180, n))
+        pts, gauges = self._points(body, 24, 181 + n)
+        # best = the gauge itself: every iterate's bound is checked and none may prove it
+        assert not _proven_below(body, pts, gauges).any()
+        assert not _proven_below(body, pts, gauges * (1 - 1e-10)).any()
+        # the bound is not vacuous: most points are proven below 1.25 times their gauge
+        assert _proven_below(body, pts, 1.25 * gauges).mean() >= 0.75
+
+    @pytest.mark.parametrize("kind", ["scaled-36x1297", "duplicated-4x11", "duplicated-8x41"])
+    def test_bound_on_scaled_and_duplicated_columns(self, kind):
+        body = _body_with_copied_column(kind)
+        pts, gauges = self._points(body, 12, 182)
+        pts = np.vstack([pts, body.gamma[:, -1], body.gamma[:, 0]])  # the copy and its original
+        gauges = np.append(gauges, highs_gauges(body.gamma, pts[-2:]))
+        assert not _proven_below(body, pts, gauges).any()
+
+    def test_exact_power_of_two_scaling(self):
+        # rows are scaled to max |x_i| in [1/2, 1) first: no overflow at 2^1000, and the
+        # same verdicts at every scale
+        body = gq.make_body(16, 256, seed(183))
+        pts, gauges = self._points(body, 16, 184)
+        best = 1.1 * np.median(gauges)
+        proven = _proven_below(body, pts, best)
+        assert proven.any() and not proven.all()
+        assert not (proven & (gauges > best)).any()
+        for k in (-1000, -500, 500, 1000):
+            scaled = _proven_below(body, np.ldexp(pts, k), np.ldexp(best, k))
+            assert scaled.tolist() == proven.tolist(), k
+
+    def test_most_images_never_reach_an_lp(self, monkeypatch):
+        body = gq.make_body(16, 256, seed(185))
+        t = _operators(16, 186)["gaussian"]
+        images = (t @ body.gamma).T
+        cold = max(gq.body_norm(body, x) for x in images)
+        lp_rows: set[bytes] = set()
+        lockstep = body_module._lockstep_gauges
+
+        def batch_spy(b, pts, starts=None, cutoff=None):
+            lp_rows.update(x.tobytes() for x in pts)
+            return lockstep(b, pts, starts, cutoff)
+
+        def gauge_spy(b, x, start_basis=None, cutoff=None):
+            lp_rows.add(x.tobytes())
+            return _gauge_lp(b, x, start_basis, cutoff)
+
+        monkeypatch.setattr(body_module, "_lockstep_gauges", batch_spy)
+        monkeypatch.setattr(body_module, "_gauge_lp", gauge_spy)
+        assert gq.operator_norm(body, t) == cold
+        assert 1 <= len(lp_rows) <= body.N // 4
 
 
 def _section_directions(n: int, count: int, s: int) -> np.ndarray:

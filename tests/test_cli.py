@@ -109,6 +109,17 @@ def test_more_rows_than_columns_body_file_exits_2(tmp_path, capsys):
     _assert_io_error_line(capsys.readouterr().err, path)
 
 
+def test_zero_column_body_file_exits_2(tmp_path, capsys):
+    # full rank, but column 3 is zero: a witness block holding it has no column norm
+    path = tmp_path / "zero-column.mtx"
+    path.write_text("GENQUOT-BODY v1 3 4 0 0\n3 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n")
+    argv = ["construct", "l1", "--body", str(path), "--k", "1", "--retries", "1", "--seed", "8"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    _assert_io_error_line(err, path)
+    assert "column 3 " in err
+
+
 def test_shiftsearch(body_file, tmp_path, capsys):
     mpath = tmp_path / "t.mtx"
     gq.write_matrix(1.5 * np.eye(3), mpath)
