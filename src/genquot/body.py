@@ -12,17 +12,15 @@ gives the exact volume of B and, through its facets, the vertices of the
 polar body, so a batch of gauges is a single max of inner products and the
 inradius is exact (the polar vertex of largest norm). Both gauge routes
 agree to LP tolerance and are cross-checked in the test suite.
-Above that dimension a batch of gauges (body_norm_many) is one phase-2
-simplex run over all its right-hand sides in lock-step: the LPs share
-[Gamma, -Gamma] and the cost vector, so each pivot step is a few matrix
-products over the whole batch, and every row starts from a feasible crash
-basis, so none runs phase 1. The inradius estimate there walks the edges of
-the polar body from the dual vertex of a gauge LP to a locally farthest
-vertex; sigma_min(Gamma) / sqrt(N) is a certified floor under it. At every
-dimension the max-of-gauges kernel behind operator_norm first prunes the
-images whose gauge an l1 representation proves below the best LP value
-(the floor turns an inexact representation into a bound), and solves the
-rest in such lock-step batches too, warm-started and with an objective cutoff.
+Every gauge LP goes through linprog.solve_l1, which runs a batch of them
+in lock-step (body_norm_many above that dimension); this module chooses the
+points, starts and cutoffs. The inradius estimate above the hull cap walks
+the edges of the polar body from the dual vertex of a gauge LP to a locally
+farthest vertex; sigma_min(Gamma) / sqrt(N) is a certified floor under it.
+At every dimension the max-of-gauges kernel behind operator_norm first
+prunes the images whose gauge an l1 representation proves below the best LP
+value (the floor turns an inexact representation into a bound), and solves
+the rest in solve_l1 batches, warm-started and with an objective cutoff.
 
 Bodies are immutable after construction; every operation here is a read-only
 pure function (Monte Carlo ones of their SeedSpec too) and safe to call from
@@ -34,14 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
 from .errors import IoError, NotInSpan, NumericError, UsageError
-from .linalg import as_matrix, as_vector, format_matrix, parse_matrix, read_text, write_text
-from .linprog import (_DEGEN_STREAK, _ITER_CAP, _PIV_TOL, _REFACTOR_EVERY, LPProblem,
-                      LPSolution, _perturbed, certify_basis, solve_lp)
+from .linalg import (_inverses, as_matrix, as_vector, format_matrix, parse_matrix, read_text,
+                     write_text)
+from .linprog import _GAUGE_TOL, _ITER_CAP, _REFACTOR_EVERY, LPSolution, solve_l1
 from .sampler import HaarSubspace, SeedSpec, gaussian_matrix, generator
 
 __all__ = [
@@ -68,8 +65,6 @@ __all__ = [
 _RANK_TOL = 1e-8
 _HULL_DIM_CAP = 6  # batch gauge uses the polar facets up to this dimension, LPs above
 _LOCKSTEP_ROWS = 512  # body_norm_many: rows per lock-step batch (bounds its memory)
-_GAUGE_PRICE_TOL = 2e-9  # solve_lp's pricing tolerance 1e-9 * (1 + max|c|) at c = 1
-_INVERSE_RESIDUAL = 1e-8  # a basis inverse missing the identity by more is unusable
 VOLUME_DIM_CAP = 8
 _DESCENT_STEPS = 100  # radii: subgradient steps per restart before the polar walk
 _DESCENT_DECAY = 0.97  # radii: step-size factor per descent step
@@ -173,28 +168,14 @@ def body_from_matrix(gamma, seed: SeedSpec = SeedSpec(0, 0)) -> RandomQuotientBo
     return RandomQuotientBody(n=n, N=N, gamma=g, seed=seed, column_norms=norms, sigma_min=smin)
 
 
-def _gauge_lp(body: RandomQuotientBody, x: np.ndarray,
-              start_basis: np.ndarray | None = None,
-              cutoff: float | None = None) -> LPSolution:
-    """min ||t||_1 s.t. Gamma t = x, via t = t+ - t-, both >= 0: the full LP
-    over [Gamma, -Gamma], label j for +g_j and N + j for -g_j.
-
-    start_basis is a warm start; without one the solve starts from x's
-    _crash_bases start, and solve_lp falls back to phase 1 only when that
-    basis is numerically singular. With a cutoff the result may be
-    solve_lp's "cutoff" verdict.
-    """
-    if start_basis is None:
-        labels, _, _, _, usable = _crash_bases(body, x[None])
-        start_basis = labels[0] if usable[0] else None
-    sol = solve_lp(LPProblem(constraint_matrix=body.plus_minus, rhs=x,
-                             objective=np.ones(2 * body.N)),
-                   start_basis=start_basis, cutoff=cutoff)
-    if sol.status == "infeasible":
+def _gauges(body: RandomQuotientBody, pts: np.ndarray, cols: np.ndarray | None = None,
+            cutoff: float | np.ndarray | None = None) -> list[LPSolution]:
+    """solve_l1's verdicts on the gauge LPs of the rows of pts over body.plus_minus
+    (the LP is bounded below by 0); NotInSpan for a row outside Gamma's column span."""
+    sols = solve_l1(body.plus_minus, pts, cols, cutoff)
+    if any(sol.status == "infeasible" for sol in sols):
         raise NotInSpan("point lies outside the column span of gamma")
-    if sol.status not in ("optimal", "cutoff"):  # pragma: no cover - bounded below by 0
-        raise NumericError(f"gauge LP ended with status {sol.status}")
-    return sol
+    return sols
 
 
 def _max_gauge(body: RandomQuotientBody, points: np.ndarray) -> float:
@@ -212,18 +193,16 @@ def _max_gauge(body: RandomQuotientBody, points: np.ndarray) -> float:
     reweighted least-squares preimage, with no LP. A point whose bound
     * (1 + 1e-9) is at most best is never solved; most points are pruned here.
 
-    Batches: the point of largest lower bound is solved alone by _gauge_lp.
-    The next unsolved points in lower-bound order are then solved together
-    by _lockstep_gauges, in batches of 2, 4, 8, ... up to _LOCKSTEP_ROWS (a
-    batch of one by _gauge_lp), and a row a batch cannot finish by
-    _gauge_lp. After each batch every end basis tightens the upper bounds
-    and every optimal dual raises the lower bounds of the unsolved points.
+    Batches: every solve is one call of solve_l1 (through _gauges). The
+    point of largest lower bound is solved alone, from its crash basis. The
+    next unsolved points in lower-bound order are then solved together, in
+    batches of 2, 4, 8, ... up to _LOCKSTEP_ROWS. After each batch every end
+    basis tightens the upper bounds and every optimal dual raises the lower
+    bounds of the unsolved points.
 
-    Warm start: the columns come in +- pairs, so the column set S of any
-    basis gives a primal-feasible basis for every right-hand side x, label j
-    where (Gamma_S^-1 x)_j >= 0 and N + j elsewhere. Each point starts from
-    the set that gives its upper bound. A scalar solve falls back to phase 1
-    when solve_lp cannot use that start, and a batch row goes to _gauge_lp.
+    Warm start: each point starts from the column set S that gives its upper
+    bound. The columns come in +- pairs, so solve_l1 signs S into a primal-
+    feasible basis for any x (a numerically singular S goes to phase 1).
 
     Cut solves: once best > 0 a solve may stop at a feasible basis of
     objective <= best (solve_lp's cutoff, in a batch too). Its column set
@@ -250,10 +229,7 @@ def _max_gauge(body: RandomQuotientBody, points: np.ndarray) -> float:
         idx = live[np.argsort(-lower[live], kind="stable")[:size]]
         first = best == 0.0  # the first solve: alone, never cut, then the certificate pass
         cutoff = np.where(cut[idx] | first, -np.inf, best)
-        sols = _lockstep_gauges(body, pts[idx], starts[idx], cutoff) if idx.size > 1 else [None]
-        sols = [sol or _gauge_lp(body, pts[i], starts[i] if np.isfinite(upper[i]) else None,
-                                 None if c == -np.inf else c)
-                for i, sol, c in zip(idx, sols, cutoff)]
+        sols = _gauges(body, pts[idx], None if first else starts[idx], cutoff)
         size = min(2 * size, _LOCKSTEP_ROWS)
         cut[idx] = [sol.status == "cutoff" for sol in sols]
         unsolved[idx[~cut[idx]]] = False
@@ -327,7 +303,7 @@ def _tighten_upper(body: RandomQuotientBody, pts: np.ndarray, cols: np.ndarray,
                    rest: np.ndarray, upper: np.ndarray, starts: np.ndarray) -> None:
     """Lower upper[i] to min over the column sets S (rows of cols) of
     ||Gamma_S^-1 x_i||_1 for the points x_i = pts[i], i in rest, and set
-    starts[i] to the sign-flipped labels of the set that gives the minimum.
+    starts[i] to the set that gives the minimum.
     The sets go in chunks of at most 2^14 coefficients (one set at least):
     a large batch's bound update then takes about the memory of the copies
     one solve_lp call makes, not one coefficient block per set."""
@@ -345,143 +321,7 @@ def _tighten_upper(body: RandomQuotientBody, pts: np.ndarray, cols: np.ndarray,
         low = cost[k, at]
         better = np.flatnonzero(low < upper[rest])
         upper[rest[better]] = low[better]
-        k = k[better]
-        starts[rest[better]] = np.where(coeffs[k, :, better] >= 0, sets[k], sets[k] + body.N)
-
-
-def _inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of a stack of square matrices, and a mask of the usable ones.
-    A singular matrix (an exact zero pivot, on which np.linalg.inv raises),
-    or one whose inverse misses the identity by more than _INVERSE_RESIDUAL
-    (a numerically singular one), is not usable."""
-    eye = np.eye(mats.shape[-1])
-    try:
-        inv, regular = np.linalg.inv(mats), True
-    except np.linalg.LinAlgError:
-        regular = np.linalg.slogdet(mats)[0] != 0
-        inv = np.linalg.inv(np.where(regular[:, None, None], mats, eye))
-    residual = np.abs(inv @ mats - eye).max(axis=(1, 2))
-    return inv, regular & (residual <= _INVERSE_RESIDUAL)
-
-
-def _crash_bases(body: RandomQuotientBody, pts: np.ndarray,
-                 cols: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """Crash start of the gauge LP of each row x of pts: the n columns with
-    the largest |<x, g_j>|, the dual constraints nearest to tight at the
-    feasible dual x / max_j |<x, g_j>|, or the given column set of each row
-    (cols, a row of n column indices per row of pts). Each is
-    labelled j or N + j as x's coefficient on g_j is >= 0 or < 0 (with
-    solve_lp's perturbed RHS), so that the basis is primal feasible, as in
-    _max_gauge's warm starts.
-
-    Returns the labels, the inverses of the basis matrices, the basic values,
-    the perturbed RHS rows and a mask of the rows whose basis matrix is
-    usable (_inverses).
-    """
-    sign = np.where(pts < 0, -1.0, 1.0)
-    xp = sign * _perturbed(pts * sign)
-    if cols is None:
-        corr = np.abs(pts @ body.gamma)
-        cols = np.sort(np.argpartition(-corr, body.n - 1, axis=1)[:, :body.n], axis=1)
-    inv, usable = _inverses(body.gamma.T[cols].transpose(0, 2, 1))
-    coeffs = (inv @ xp[:, :, None])[:, :, 0]
-    labels = np.where(coeffs >= 0, cols, cols + body.N)
-    binv = inv * np.where(coeffs >= 0, 1.0, -1.0)[:, :, None]
-    return labels, binv, np.abs(coeffs), xp, usable
-
-
-def _lockstep_gauges(body: RandomQuotientBody, pts: np.ndarray, starts: np.ndarray | None = None,
-                     cutoff: float | np.ndarray | None = None) -> list[LPSolution | None]:
-    """Gauge LPs of the nonzero rows of pts by one phase-2 simplex run over
-    all of them at once: solve_lp's "optimal" or "cutoff" verdict for each
-    row, or None for a row that _gauge_lp must solve instead.
-
-    Every row solves the full LP [Gamma, -Gamma] t = x (with solve_lp's
-    perturbed RHS) from its _crash_bases start: the crash columns, or the
-    column set of the row's labels in starts, signed to be primal feasible.
-    cutoff (a number or one per row; None or -inf for none) has solve_lp's
-    meaning: before each pricing pass, a row whose basic values sum to at
-    most its cutoff leaves the batch with status "cutoff" at that basis.
-    The pivots follow solve_lp's phase 2: Dantzig pricing, the _PIV_TOL
-    ratio test with ties to the smallest basis label, rank-1 updates of each
-    basis inverse and a refactor every _REFACTOR_EVERY pivots. The duals
-    y = B^-T 1 of all live rows price in one matrix product; a row leaves
-    the batch once it is optimal. An optimal basis passes solve_lp's closing
-    certificate (certify_basis, on body.plus_minus as it is) and a check
-    that the certified dual is feasible, |<g_j, y>| <= 1 + tol for every j;
-    the row's verdict is that certificate, so any pivot path to the same
-    basis gives the same bytes. A row goes to _gauge_lp instead when its
-    start basis is numerically singular, its degenerate streak exceeds
-    _DEGEN_STREAK (solve_lp would switch to Bland), a ratio test finds no
-    pivot, the iteration cap is reached or its certificate fails.
-    """
-    n, big_n = body.n, body.N
-    gamma_t = np.ascontiguousarray(body.gamma.T)
-    basis, binv, xb, xp, usable = _crash_bases(body, pts, None if starts is None else starts % big_n)
-    rows = np.flatnonzero(usable)  # the input row of each live row
-    limit = np.broadcast_to(-np.inf if cutoff is None else cutoff, pts.shape[:1])
-    basis, binv, xb, xp, limit = basis[rows], binv[rows], xb[rows], xp[rows], limit[rows]
-    streak = np.zeros(rows.size, dtype=np.int64)
-    ended: list[tuple[int, np.ndarray, str]] = []
-    ones_n = np.ones(n)
-    for pivot in range(1, _ITER_CAP * (n + 2 * big_n) + 1):  # solve_lp's iteration cap
-        stop = xb.sum(axis=1) <= limit
-        if stop.any():
-            ended += zip(rows[stop], basis[stop], repeat("cutoff"))
-            keep = ~stop
-            rows, basis, binv, xb, xp, limit, streak = (
-                rows[keep], basis[keep], binv[keep], xb[keep], xp[keep], limit[keep], streak[keep])
-        if rows.size == 0:
-            break
-        live = np.arange(rows.size)
-        proj = (ones_n @ binv) @ body.gamma  # <g_j, y> with y = B^-T 1
-        mag = np.abs(proj)
-        mag[live[:, None], basis % big_n] = 0.0  # both labels of a basic column
-        j = mag.argmax(axis=1)
-        done = mag[live, j] <= 1.0 + _GAUGE_PRICE_TOL
-        enters = proj[live, j] > 0  # reduced cost 1 - <g_j, y> of label j, else of N + j
-        column = gamma_t[j]
-        np.negative(column, out=column, where=~enters[:, None])
-        d = (binv @ column[:, :, None])[:, :, 0]
-        ratios = np.full(d.shape, np.inf)
-        np.divide(np.maximum(xb, 0.0), d, out=ratios, where=d > _PIV_TOL)
-        theta = ratios.min(axis=1)
-        ties = ratios <= theta[:, None] * (1 + 1e-12) + 1e-15
-        leave = np.where(ties, basis, 2 * big_n).argmin(axis=1)
-        streak = np.where(theta <= 1e-12, streak + 1, 0)
-        keep = ~done & np.isfinite(theta) & (streak <= _DEGEN_STREAK)
-        if not keep.all():
-            ended += zip(rows[done], basis[done], repeat("optimal"))
-            rows, basis, binv, xb, xp, limit = (rows[keep], basis[keep], binv[keep], xb[keep],
-                                                xp[keep], limit[keep])
-            j, enters, d, theta, leave, streak = (j[keep], enters[keep], d[keep], theta[keep],
-                                                  leave[keep], streak[keep])
-            live = np.arange(rows.size)
-        row = binv[live, leave] / d[live, leave][:, None]
-        binv -= np.einsum("ki,kj->kij", d, row, out=np.empty_like(binv))
-        binv[live, leave] = row
-        basis[live, leave] = np.where(enters, j, j + big_n)
-        xb -= theta[:, None] * d
-        xb[live, leave] = theta
-        if pivot % _REFACTOR_EVERY == 0:
-            binv, usable = _inverses(body.plus_minus.T[basis].transpose(0, 2, 1))
-            rows, basis, binv, xp, limit, streak = (rows[usable], basis[usable], binv[usable],
-                                                    xp[usable], limit[usable], streak[usable])
-            xb = (binv @ xp[:, :, None])[:, :, 0]
-
-    sols: list[LPSolution | None] = [None] * pts.shape[0]
-    ones = np.ones(2 * big_n)
-    for i, labels, status in ended:
-        if status == "cutoff":
-            sols[i] = LPSolution(status="cutoff", basis=labels)
-            continue
-        try:
-            sol = certify_basis(body.plus_minus, pts[i], ones, labels)
-        except NumericError:
-            continue
-        if np.abs(sol.dual_point @ body.gamma).max() <= 1.0 + _GAUGE_PRICE_TOL:
-            sols[i] = sol
-    return sols
+        starts[rest[better]] = sets[k[better]]
 
 
 def body_norm_with_dual(body: RandomQuotientBody, x) -> tuple[float, np.ndarray]:
@@ -495,7 +335,7 @@ def body_norm_with_dual(body: RandomQuotientBody, x) -> tuple[float, np.ndarray]
         raise UsageError(f"vector dimension {v.size} != body dimension {body.n}")
     if not np.any(v):
         return 0.0, np.zeros(body.n)
-    sol = _gauge_lp(body, v)
+    sol = _gauges(body, v[None])[0]
     return float(sol.objective_value), sol.dual_point
 
 
@@ -508,11 +348,10 @@ def body_norm_many(body: RandomQuotientBody, xs) -> np.ndarray:
     """Gauge of each row of xs.
 
     Up to dimension _HULL_DIM_CAP it is a max over the polar facets. Above,
-    each gauge is an LP objective: the nonzero rows are solved together by
-    _lockstep_gauges, in batches of _LOCKSTEP_ROWS, and a row that batch
-    leaves unsolved by _gauge_lp, as body_norm would. A gauge does not
-    depend on the other rows or their order, and it has the bytes of
-    body_norm.
+    each gauge is an LP objective: the nonzero rows are solved by solve_l1
+    in batches of _LOCKSTEP_ROWS, each row from its crash basis, as
+    body_norm solves it. A gauge does not depend on the other rows or their
+    order, and it has the bytes of body_norm.
     """
     pts = as_matrix(xs, "points")
     if pts.shape[1] != body.n:
@@ -523,8 +362,7 @@ def body_norm_many(body: RandomQuotientBody, xs) -> np.ndarray:
     nonzero = np.flatnonzero(np.any(pts, axis=1))
     for lo in range(0, nonzero.size, _LOCKSTEP_ROWS):
         idx = nonzero[lo:lo + _LOCKSTEP_ROWS]
-        for i, sol in zip(idx, _lockstep_gauges(body, pts[idx])):
-            gauges[i] = (sol or _gauge_lp(body, pts[i])).objective_value
+        gauges[idx] = [sol.objective_value for sol in _gauges(body, pts[idx])]
     return gauges
 
 
@@ -572,12 +410,13 @@ def _max_on_line(unit: np.ndarray, points: np.ndarray, gauge: float) -> float:
 
 def _column_gauge(body: RandomQuotientBody, j: int) -> float:
     """||g_j||_B. The feasible t = e_j costs 1, and y = g_j / |g_j|^2 has <g_j, y> = 1:
-    if max_i |<g_i, y>| <= 1 + _GAUGE_PRICE_TOL (_lockstep_gauges' dual tolerance),
-    the pair proves the gauge is 1.0 with no gap. Otherwise g_j's LP is solved."""
+    if max_i |<g_i, y>| <= 1 + _GAUGE_TOL (the dual tolerance of every gauge LP's
+    certificate), the pair proves the gauge is 1.0 with no gap. Otherwise g_j's LP
+    is solved."""
     g = body.gamma[:, j]
-    if np.abs((g / body.column_norms[j] ** 2) @ body.gamma).max() <= 1.0 + _GAUGE_PRICE_TOL:
+    if np.abs((g / body.column_norms[j] ** 2) @ body.gamma).max() <= 1.0 + _GAUGE_TOL:
         return 1.0
-    return float(_gauge_lp(body, g).objective_value)
+    return float(_gauges(body, g[None])[0].objective_value)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +476,7 @@ def _polar_walk(body: RandomQuotientBody, u: np.ndarray) -> np.ndarray:
     returns the start. Maximizing a norm over a polytope is NP-hard
     (Mangasarian and Shiau 1986): the result is a local maximum only.
     """
-    sol = _gauge_lp(body, u)
+    sol = _gauges(body, u[None])[0]
     cols = sol.basis % body.N
     signs = np.where(sol.basis < body.N, 1.0, -1.0)
     at = np.arange(body.n)

@@ -36,6 +36,7 @@ __all__ = [
 
 _DROP_TOL = 1e-10  # orthonormalize: relative residual below which a vector is dropped
 _ORTHO_TOL = 1e-10  # check_orthonormal: largest |B^T B - I| entry accepted
+_INVERSE_RESIDUAL = 1e-8  # _inverses: an inverse missing the identity by more is unusable
 
 
 def golden_min(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -97,6 +98,21 @@ class OrthoResult:
 
     basis: np.ndarray
     dropped: int
+
+
+def _inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack of square matrices, and a mask of the usable ones.
+    A singular matrix (an exact zero pivot, on which np.linalg.inv raises),
+    or one whose inverse misses the identity by more than _INVERSE_RESIDUAL
+    (a numerically singular one), is not usable."""
+    eye = np.eye(mats.shape[-1])
+    try:
+        inv, regular = np.linalg.inv(mats), True
+    except np.linalg.LinAlgError:
+        regular = np.linalg.slogdet(mats)[0] != 0
+        inv = np.linalg.inv(np.where(regular[:, None, None], mats, eye))
+    residual = np.abs(inv @ mats - eye).max(axis=(1, 2))
+    return inv, regular & (residual <= _INVERSE_RESIDUAL)
 
 
 def svd(m) -> SvdResult:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 
 import genquot as gq
 
-from genquot.body import (_column_gauge, _gauge_lp, _inradius_descent, _polar_walk,
+from genquot.body import (_column_gauge, _gauges, _inradius_descent, _polar_walk,
                           _proven_below, _unit_sphere, _walked_inradius)
 from genquot import body as body_module, linprog
-from genquot.linprog import _perturbed
+from genquot.errors import NumericError
+from genquot.linprog import _perturbed, solve_l1
 from genquot.sampler import generator
 
 from conftest import angular_net_gauge_ratio, highs_gauges, highs_max_gauge
@@ -77,6 +79,21 @@ class TestBodyNorm:
         x = gq.gaussian_matrix(4, 1, 1.0, seed(35, 7))[:, 0]
         base = gq.body_norm(body, x)
         assert gq.body_norm(body, -2.5 * x) == pytest.approx(2.5 * base, rel=1e-8)
+
+    def test_homogeneous_at_small_scales(self):
+        # the RHS perturbation is relative to max|x|, so it never swamps a small x
+        body = gq.make_body(8, 64, seed(1, 0))
+        t = gq.gaussian_matrix(8, 8, 1.0, seed(2, 0))
+        images = (t @ body.gamma).T
+        gauges = np.array([gq.body_norm(body, x) for x in images])
+        norm = gq.operator_norm(body, t)
+        for s in (1e-9, 1e-11, 1e-12, 2.0 ** -40):
+            scaled = np.array([gq.body_norm(body, s * x) for x in images]) / s
+            assert scaled == pytest.approx(gauges, rel=1e-12, abs=0), s
+            assert gq.operator_norm(body, s * t) / s == pytest.approx(norm, rel=1e-12, abs=0), s
+        # a power of two scales the perturbed LP exactly: the same pivots and bytes
+        assert scaled.tobytes() == gauges.tobytes()
+        assert gq.operator_norm(body, s * t) / s == norm
 
     def test_triangle_inequality(self):
         body = gq.make_body(4, 10, seed(36))
@@ -195,6 +212,47 @@ def _prunes_nothing(body, pts, best):
     return np.zeros(pts.shape[0], dtype=bool)
 
 
+def _spy_solve_lp_starts(monkeypatch) -> list:
+    """Record the start basis (None for phase 1) of every solve_lp call."""
+    starts = []
+    solve = linprog.solve_lp
+
+    def spy(p, start_basis=None, cutoff=None):
+        starts.append(start_basis)
+        return solve(p, start_basis, cutoff)
+
+    monkeypatch.setattr(linprog, "solve_lp", spy)
+    return starts
+
+
+def _refuse_batch_certificates(monkeypatch, refused: list, which) -> list:
+    """Fail the k-th certificate of a lock-step row (one not inside solve_lp)
+    when which(k), appending the row's RHS bytes to refused. Returns the list
+    of the RHS bytes of every solve_lp call, filled as they are made."""
+    scalar: list[bytes] = []
+    inside = []
+    solve, certified = linprog.solve_lp, linprog._certified
+    batch_rows = itertools.count()
+
+    def solve_spy(p, start_basis=None, cutoff=None):
+        scalar.append(p.rhs.tobytes())
+        inside.append(1)
+        try:
+            return solve(p, start_basis, cutoff)
+        finally:
+            inside.pop()
+
+    def certified_spy(a, b, *args):
+        if not inside and which(next(batch_rows)):
+            refused.append(b.tobytes())
+            raise NumericError("refused")
+        return certified(a, b, *args)
+
+    monkeypatch.setattr(linprog, "solve_lp", solve_spy)
+    monkeypatch.setattr(linprog, "_certified", certified_spy)
+    return scalar
+
+
 class TestMaxGaugeKernel:
     """operator_norm prunes and warm-starts; its value must be the cold maximum."""
 
@@ -206,7 +264,7 @@ class TestMaxGaugeKernel:
         if big_n == 576:  # the widest LPs: two operators keep the cold maxima short
             operators = {k: operators[k] for k in ("gaussian", "orthogonal")}
         scalar_solves = []
-        solve = body_module.solve_lp
+        solve = linprog.solve_lp
 
         def spy(*args, **kwargs):
             scalar_solves.append(1)
@@ -216,7 +274,7 @@ class TestMaxGaugeKernel:
             cold = max(gq.body_norm(body, x) for x in (t @ body.gamma).T)
             scalar_solves.clear()
             with monkeypatch.context() as m:
-                m.setattr(body_module, "solve_lp", spy)
+                m.setattr(linprog, "solve_lp", spy)
                 assert gq.operator_norm(body, t) == cold, kind
             if big_n == 576:
                 # the lock-step batches take all but the first image and any fallbacks
@@ -233,24 +291,14 @@ class TestMaxGaugeKernel:
         solves: dict[bytes, int] = {}
         cuts = {"scalar": [], "batch": []}
 
-        def forced(b, x, start_basis=None, cutoff=None):
-            solves[x.tobytes()] = solves.get(x.tobytes(), 0) + 1
-            sol = _gauge_lp(b, x, start_basis, None if cutoff is None else np.inf)
-            cuts["scalar"].append(sol.status == "cutoff")
-            return sol
-
-        lockstep = body_module._lockstep_gauges
-
-        def forced_batch(b, pts, starts=None, cutoff=None):
-            sols = lockstep(b, pts, starts, np.where(np.asarray(cutoff) > -np.inf, np.inf, -np.inf))
+        def forced(b, pts, cols=None, cutoff=None):
+            sols = _gauges(b, pts, cols, np.where(np.asarray(cutoff) > -np.inf, np.inf, -np.inf))
             for x, sol in zip(pts, sols):
-                if sol is not None:  # a row left to _gauge_lp is counted there
-                    solves[x.tobytes()] = solves.get(x.tobytes(), 0) + 1
-                    cuts["batch"].append(sol.status == "cutoff")
+                solves[x.tobytes()] = solves.get(x.tobytes(), 0) + 1
+                cuts["scalar" if len(pts) == 1 else "batch"].append(sol.status == "cutoff")
             return sols
 
-        monkeypatch.setattr(body_module, "_gauge_lp", forced)
-        monkeypatch.setattr(body_module, "_lockstep_gauges", forced_batch)
+        monkeypatch.setattr(body_module, "_gauges", forced)
         monkeypatch.setattr(body_module, "_proven_below", _prunes_nothing)  # keep the batches
         assert gq.operator_norm(body, t) == cold
         assert any(cuts["batch"]) and max(solves.values()) == 2
@@ -260,21 +308,18 @@ class TestMaxGaugeKernel:
         body = gq.make_body(n, big_n, seed(157, n * big_n))
         t = _operators(n, 158 + big_n)["gaussian"]
         cold = max(gq.body_norm(body, x) for x in (t @ body.gamma).T)
-        lockstep = body_module._lockstep_gauges
         left: list[bytes] = []
-        scalar: list[bytes] = []
+        crash_bases = linprog._crash_bases
 
-        def every_other_row_left(b, pts, starts=None, cutoff=None):
-            sols = lockstep(b, pts, starts, cutoff)
-            left.extend(x.tobytes() for x in pts[1::2])
-            return [None if k % 2 else sol for k, sol in enumerate(sols)]
+        def every_other_start_unusable(g, pts, cols=None):
+            *start, usable = crash_bases(g, pts, cols)
+            if len(pts) > 1:
+                usable[1::2] = False
+                left.extend(x.tobytes() for x in pts[1::2])
+            return (*start, usable)
 
-        def gauge_spy(b, x, start_basis=None, cutoff=None):
-            scalar.append(x.tobytes())
-            return _gauge_lp(b, x, start_basis, cutoff)
-
-        monkeypatch.setattr(body_module, "_lockstep_gauges", every_other_row_left)
-        monkeypatch.setattr(body_module, "_gauge_lp", gauge_spy)
+        monkeypatch.setattr(linprog, "_crash_bases", every_other_start_unusable)
+        scalar = _refuse_batch_certificates(monkeypatch, [], lambda k: False)
         monkeypatch.setattr(body_module, "_proven_below", _prunes_nothing)  # keep the batches
         assert gq.operator_norm(body, t) == cold
         assert left and scalar[1:] == left  # after the first image, exactly the rows left
@@ -301,11 +346,16 @@ class TestMaxGaugeKernel:
             verdicts.append(warm_basis(*args))
             return verdicts[-1]
 
+        starts = _spy_solve_lp_starts(monkeypatch)
         monkeypatch.setattr(linprog, "_warm_basis", spy)
-        # a start on columns {0, 10, 1, 2} has a singular Gamma_S
-        sol = _gauge_lp(body, x, np.array([0, 10, 1, 2]))
+        # a start on columns {0, 10, 1, 2} has a singular Gamma_S: solve_l1 does not
+        # use it, and solve_lp given it as a basis rejects it; both run phase 1
+        sol = _gauges(body, x[None], np.array([[0, 10, 1, 2]]))[0]
+        assert starts == [None] and verdicts == []
+        direct = linprog.solve_lp(linprog.LPProblem(body.plus_minus, x, np.ones(22)),
+                                  start_basis=np.array([0, 10, 1, 2]))
         assert verdicts == [None]
-        assert sol.objective_value == gq.body_norm(body, x)
+        assert sol.objective_value == direct.objective_value == gq.body_norm(body, x)
         t = gq.gaussian_matrix(4, 4, 1.0, seed(154, 2))
         images = (t @ body.gamma).T
         q = gq.operator_norm(body, t)
@@ -371,18 +421,12 @@ class TestProvenBelow:
         images = (t @ body.gamma).T
         cold = max(gq.body_norm(body, x) for x in images)
         lp_rows: set[bytes] = set()
-        lockstep = body_module._lockstep_gauges
 
-        def batch_spy(b, pts, starts=None, cutoff=None):
+        def gauges_spy(b, pts, cols=None, cutoff=None):
             lp_rows.update(x.tobytes() for x in pts)
-            return lockstep(b, pts, starts, cutoff)
+            return _gauges(b, pts, cols, cutoff)
 
-        def gauge_spy(b, x, start_basis=None, cutoff=None):
-            lp_rows.add(x.tobytes())
-            return _gauge_lp(b, x, start_basis, cutoff)
-
-        monkeypatch.setattr(body_module, "_lockstep_gauges", batch_spy)
-        monkeypatch.setattr(body_module, "_gauge_lp", gauge_spy)
+        monkeypatch.setattr(body_module, "_gauges", gauges_spy)
         assert gq.operator_norm(body, t) == cold
         assert 1 <= len(lp_rows) <= body.N // 4
 
@@ -394,7 +438,8 @@ def _section_directions(n: int, count: int, s: int) -> np.ndarray:
 
 
 class TestLockstepGauges:
-    """body_norm_many above the hull cap solves its rows in one lock-step batch."""
+    """solve_l1 runs two or more gauge LPs in lock-step; body_norm_many above
+    the hull cap is one such batch."""
 
     @pytest.mark.parametrize("n,big_n", [(8, 64), (16, 256), (24, 576), (36, 1296)])
     def test_full_lp_path_bit_identical_to_body_norm(self, n, big_n, monkeypatch):
@@ -402,16 +447,19 @@ class TestLockstepGauges:
         body = gq.make_body(n, big_n, seed(160, n))
         dirs = _section_directions(n, 64 if n <= 16 else 32, 161 + n)
         certified = []
-        certify = body_module.certify_basis
+        certify = linprog._certified
 
-        def spy(*args, **kwargs):
+        def spy(*args):
             certified.append(1)
-            return certify(*args, **kwargs)
+            return certify(*args)
 
-        monkeypatch.setattr(body_module, "certify_basis", spy)
-        sols = body_module._lockstep_gauges(body, dirs)
-        assert all(sol is not None and sol.status == "optimal" for sol in sols)
-        assert len(certified) == len(dirs)  # every batched gauge passed solve_lp's certificate
+        with monkeypatch.context() as m:
+            m.setattr(linprog, "_certified", spy)
+            starts = _spy_solve_lp_starts(m)
+            sols = solve_l1(body.plus_minus, dirs)
+        assert all(sol.status == "optimal" for sol in sols)
+        assert len(certified) == len(dirs) and starts == []  # every row certified in the batch
+        assert min(sol.iterations for sol in sols) >= 1
         got = gq.body_norm_many(body, dirs)
         assert got.tobytes() == np.array([gq.body_norm(body, x) for x in dirs]).tobytes()
         if n > 16:
@@ -431,22 +479,24 @@ class TestLockstepGauges:
 
     @pytest.mark.parametrize("n,big_n", [(8, 64), (16, 256), (24, 576)])
     def test_warm_labels_and_cutoff(self, n, big_n):
-        # every row starts from the sign-flipped optimal column set of another
-        # point's LP; a third run without a cutoff, the rest with one
+        # every row starts from the optimal column set of another point's LP,
+        # signed by solve_l1; a third run without a cutoff, the rest with one
         body = gq.make_body(n, big_n, seed(174, n))
         dirs = _section_directions(n, 24, 175 + n)
-        cols = np.sort(_gauge_lp(body, dirs[-1]).basis % big_n)
-        coeffs = np.linalg.solve(body.gamma[:, cols], dirs.T).T
-        starts = np.where(coeffs >= 0, cols, cols + big_n)
+        cols = np.sort(_gauges(body, dirs[-1][None])[0].basis % big_n)
         gauges = np.array([gq.body_norm(body, x) for x in dirs])
         cutoff = np.where(np.arange(len(dirs)) % 3 == 0, -np.inf, np.median(gauges))
-        sols = body_module._lockstep_gauges(body, dirs, starts, cutoff)
+        cutoff[-1] = -np.inf
+        sols = solve_l1(body.plus_minus, dirs, np.tile(cols, (len(dirs), 1)), cutoff)
         statuses = [sol.status for sol in sols]
         assert "optimal" in statuses and "cutoff" in statuses
+        # the last row starts at its own optimal basis: one pricing pass proves it
+        assert sols[-1].iterations == 1 and sols[-1].objective_value == gauges[-1]
         for x, sol, limit, gauge in zip(dirs, sols, cutoff, gauges):
             if sol.status == "optimal":
                 assert sol.objective_value.hex() == gauge.hex()
                 assert gauge > limit * (1 - 1e-9)  # never at most the cutoff
+                assert sol.iterations >= 1
                 continue
             assert sol.status == "cutoff" and limit > -np.inf
             sign = np.where(x < 0, -1.0, 1.0)
@@ -454,17 +504,20 @@ class TestLockstepGauges:
             assert basic.min() >= -1e-9  # a feasible basis of the perturbed LP
             assert basic.sum() <= limit * (1 + 1e-12)
 
-    def test_unusable_start_goes_to_scalar_path(self):
+    def test_unusable_start_goes_to_scalar_path(self, monkeypatch):
         g = gq.gaussian_matrix(8, 40, 0.125, seed(176))
         body = gq.body_from_matrix(np.hstack([g, g[:, :1]]))  # column 40 == column 0
         dirs = _section_directions(8, 3, 177)
-        starts = np.tile(np.arange(1, 9), (3, 1))
-        starts[1, :2] = [0, 40]  # a singular Gamma_S
-        # a cutoff of inf ends every usable row at its start basis
-        sols = body_module._lockstep_gauges(body, dirs, starts, np.inf)
-        assert sols[1] is None
+        cols = np.tile(np.arange(1, 9), (3, 1))
+        cols[1, :2] = [0, 40]  # a singular Gamma_S
+        starts = _spy_solve_lp_starts(monkeypatch)
+        # a cutoff of inf ends every row at its first feasible basis
+        sols = solve_l1(body.plus_minus, dirs, cols, np.inf)
+        assert starts == [None]  # row 1 only, by solve_lp from phase 1
+        assert sols[1].status == "cutoff" and sols[1].iterations > 0
         for sol in (sols[0], sols[2]):
             assert sol.status == "cutoff" and np.sort(sol.basis % 41).tolist() == list(range(1, 9))
+            assert sol.iterations == 0
 
     def test_zero_rows_give_zero(self):
         body = gq.make_body(8, 64, seed(166))
@@ -482,35 +535,78 @@ class TestLockstepGauges:
         x = g[:, 0] + 1e-3 * gq.gaussian_matrix(8, 1, 1.0, seed(168, 1))[:, 0]
         pts = np.vstack([x, _section_directions(8, 5, 169)])
         crash_usable = []
-        inverses = body_module._inverses
+        inverses = linprog._inverses
 
         def inverses_spy(mats):
             inv, usable = inverses(mats)
             crash_usable.append(usable)
             return inv, usable
 
-        monkeypatch.setattr(body_module, "_inverses", inverses_spy)
-        lockstep = np.array([sol is None for sol in body_module._lockstep_gauges(body, pts)])
-        assert not crash_usable[0][0] and lockstep[0]
-        scalar_rows = []
-
-        def gauge_spy(b, v, start_basis=None, cutoff=None):
-            scalar_rows.append(v.tobytes())
-            return _gauge_lp(b, v, start_basis, cutoff)
-
-        monkeypatch.setattr(body_module, "_gauge_lp", gauge_spy)
+        monkeypatch.setattr(linprog, "_inverses", inverses_spy)
+        scalar = _refuse_batch_certificates(monkeypatch, [], lambda k: False)
         got = gq.body_norm_many(body, pts)
-        assert scalar_rows == [v.tobytes() for v in pts[lockstep]]
+        assert not crash_usable[0][0]
+        # the rows of singular starts, x first, by solve_lp from phase 1
+        assert scalar == [v.tobytes() for v in pts[~crash_usable[0]]]
         assert got.tobytes() == np.array([gq.body_norm(body, v) for v in pts]).tobytes()
         assert got == pytest.approx(highs_gauges(body.gamma, pts), rel=1e-9)
 
     def test_forced_fallback_gives_scalar_values(self, monkeypatch):
+        # every lock-step certificate fails: each row goes to solve_lp from its start
         body = gq.make_body(16, 256, seed(170))
         pts = np.vstack([_section_directions(16, 8, 171), np.zeros(16)])
-        monkeypatch.setattr(body_module, "_lockstep_gauges",
-                            lambda b, p: [None] * p.shape[0])
+        refused: list[bytes] = []
+        scalar = _refuse_batch_certificates(monkeypatch, refused, lambda k: True)
         got = gq.body_norm_many(body, pts)
+        assert len(refused) == 8 and scalar == refused
         assert got.tobytes() == np.array([gq.body_norm(body, x) for x in pts]).tobytes()
+
+    @pytest.mark.parametrize("n,big_n", [(8, 64), (16, 256), (24, 576)])
+    def test_lone_row_continues_in_the_scalar_loop(self, n, big_n, monkeypatch):
+        # the first row starts at its optimal basis and leaves after one pass; the
+        # second, started from the same column set, finishes alone in _Simplex
+        # from the basis and inverse it reached in the batch
+        body = gq.make_body(n, big_n, seed(178, n))
+        dirs = _section_directions(n, 2, 179 + n)
+        cols = np.sort(_gauges(body, dirs[:1])[0].basis % big_n)
+        runs = []
+        run = linprog._Simplex.run
+
+        def run_spy(sim, *args):
+            runs.append(sim.iterations)
+            return run(sim, *args)
+
+        monkeypatch.setattr(linprog._Simplex, "run", run_spy)
+        starts = _spy_solve_lp_starts(monkeypatch)
+        sols = solve_l1(body.plus_minus, dirs, np.tile(cols, (2, 1)))
+        assert runs == [1] and starts == []
+        assert sols[0].iterations == 1 and sols[1].iterations > 1  # the tail's passes count
+        values = np.array([sol.objective_value for sol in sols])
+        assert values.tobytes() == np.array([gq.body_norm(body, x) for x in dirs]).tobytes()
+
+    @pytest.mark.parametrize("n,big_n", [(8, 64), (16, 256)])
+    def test_degenerate_rows_continue_with_bland(self, n, big_n, monkeypatch):
+        # at |x| ~ 2^-36 many steps are below the 1e-12 degeneracy threshold, so
+        # with _DEGEN_STREAK = 0 a row leaves the batch after its first degenerate
+        # pivot and finishes alone with Bland's rule, as body_norm's solve_lp does
+        monkeypatch.setattr(linprog, "_DEGEN_STREAK", 0)
+        body = gq.make_body(n, big_n, seed(186, n))
+        dirs = np.ldexp(_section_directions(n, 6, 187 + n), -36)
+        bland = []
+        price = linprog._Simplex._price
+
+        def price_spy(sim):
+            bland.append(sim.bland)
+            return price(sim)
+
+        monkeypatch.setattr(linprog._Simplex, "_price", price_spy)
+        starts = _spy_solve_lp_starts(monkeypatch)
+        sols = solve_l1(body.plus_minus, dirs)
+        assert sum(bland) >= len(dirs) and starts == []
+        values = np.array([sol.objective_value for sol in sols])
+        assert values.tobytes() == np.array([gq.body_norm(body, x) for x in dirs]).tobytes()
+        assert np.ldexp(values, 36) == pytest.approx(highs_gauges(body.gamma, np.ldexp(dirs, 36)),
+                                                     rel=1e-9)
 
 
 class TestColumnGauge:
@@ -520,7 +616,7 @@ class TestColumnGauge:
         cols = [j for j in range(8) if np.abs(g[:, j] @ g).max() <= (1 + 1e-12) * (g[:, j] @ g[:, j])]
         assert cols  # max_i |<g_i, g_j>| <= |g_j|^2: g_j supports B at itself
         lps = []
-        monkeypatch.setattr(body_module, "_gauge_lp", lambda *args: lps.append(args))
+        monkeypatch.setattr(body_module, "_gauges", lambda *args: lps.append(args))
         assert [_column_gauge(body, j) for j in cols] == [1.0] * len(cols)
         assert not lps
         assert highs_gauges(g, g[:, cols].T) == pytest.approx(1.0, rel=1e-9)
@@ -532,11 +628,11 @@ class TestColumnGauge:
         assert np.abs((x / (x @ x)) @ body.gamma).max() > 3.0  # <g_0, y> = 1 / 0.3
         solved = []
 
-        def gauge_spy(b, v, start_basis=None, cutoff=None):
-            solved.append(v.tobytes())
-            return _gauge_lp(b, v, start_basis, cutoff)
+        def gauges_spy(b, pts, cols=None, cutoff=None):
+            solved.append(pts.tobytes())
+            return _gauges(b, pts, cols, cutoff)
 
-        monkeypatch.setattr(body_module, "_gauge_lp", gauge_spy)
+        monkeypatch.setattr(body_module, "_gauges", gauges_spy)
         value = _column_gauge(body, 1296)
         assert solved == [x.tobytes()]
         assert value == pytest.approx(0.3, rel=1e-12)
@@ -627,20 +723,20 @@ class TestRadii:
         # the corC and lemmaD shapes above the hull cap: the walk's start LP from the
         # crash basis ends where the cold start (phase 1) ends, in fewer pivots
         pivots = []
-        solve = body_module.solve_lp
+        solve = linprog.solve_lp
 
         def solve_spy(*args, **kwargs):
             sol = solve(*args, **kwargs)
             pivots.append(sol.iterations)
             return sol
 
-        crash_bases = body_module._crash_bases
+        crash_bases = linprog._crash_bases
 
-        def no_crash(b, pts):
-            *start, usable = crash_bases(b, pts)
+        def no_crash(g, pts, cols=None):
+            *start, usable = crash_bases(g, pts, cols)
             return (*start, np.zeros_like(usable))
 
-        monkeypatch.setattr(body_module, "solve_lp", solve_spy)
+        monkeypatch.setattr(linprog, "solve_lp", solve_spy)
         for s in (100, 101):
             body = gq.make_body(n, big_n, seed(s, n * big_n))
             u = _inradius_descent(body, 64, seed(s, 1), steps=body_module._DESCENT_STEPS)[1]
@@ -649,7 +745,7 @@ class TestRadii:
             crash_pivots = sum(pivots)
             pivots.clear()
             with monkeypatch.context() as m:
-                m.setattr(body_module, "_crash_bases", no_crash)
+                m.setattr(linprog, "_crash_bases", no_crash)
                 cold = _polar_walk(body, u)
             assert crash.tobytes() == cold.tobytes()
             assert crash_pivots < sum(pivots)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import genquot as gq
-from genquot import body as body_module
+from genquot import body as body_module, linprog
 from genquot.constructions import (_ISO_STREAM_OFFSET, _inverse_map_estimates, _measure_l1,
                                    auto_l1_dim, auto_l2_dim)
 
@@ -233,18 +233,18 @@ class TestLineWitness:
                  if np.abs(g[:, j] @ g).max() <= (1 + 1e-12) * (g[:, j] @ g[:, j]))
         wider = gq.body_from_matrix(np.hstack([g, 0.3 * g[:, [a]]]))  # column N = 0.3 g_a
         calls = []
-        gauge_lp, solve = body_module._gauge_lp, body_module.solve_lp
+        gauges, solve = body_module._gauges, linprog.solve_lp
 
-        def gauge_spy(b, x, start_basis=None, cutoff=None):
-            calls.append(("gauge", x.tobytes(), start_basis is None))
-            return gauge_lp(b, x, start_basis, cutoff)
+        def gauges_spy(b, pts, cols=None, cutoff=None):
+            calls.append(("gauge", pts.tobytes(), cols is None))
+            return gauges(b, pts, cols, cutoff)
 
         def solve_spy(*args, **kwargs):
             calls.append(("solve",))
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(body_module, "_gauge_lp", gauge_spy)
-        monkeypatch.setattr(body_module, "solve_lp", solve_spy)
+        monkeypatch.setattr(body_module, "_gauges", gauges_spy)
+        monkeypatch.setattr(linprog, "solve_lp", solve_spy)
         wit = _measure_l1(body, np.array([a]), seed(131, n))
         assert calls == []
         assert max(gq.verify_witness(body, wit).values()) == 0.0
@@ -278,13 +278,13 @@ class TestLineWitness:
     def test_l2_line_solves_one_gauge(self, n, big_n, monkeypatch):
         body = gq.make_body(n, big_n, seed(134, n))
         solved = []
-        gauge_lp = body_module._gauge_lp
+        gauges = body_module._gauges
 
-        def spy(b, x, start_basis=None, cutoff=None):
-            solved.append(x.tobytes())
-            return gauge_lp(b, x, start_basis, cutoff)
+        def spy(b, pts, cols=None, cutoff=None):
+            solved.append(pts.tobytes())
+            return gauges(b, pts, cols, cutoff)
 
-        monkeypatch.setattr(body_module, "_gauge_lp", spy)
+        monkeypatch.setattr(body_module, "_gauges", spy)
         wit = gq.find_l2_subspace(body, h=1, seed=seed(135, n))
         u = wit.subspace.basis[:, 0]
         assert solved == [u.tobytes()]

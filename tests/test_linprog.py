@@ -7,7 +7,7 @@ import pytest
 
 import genquot as gq
 from genquot import linprog
-from genquot.linprog import LPProblem, solve_lp
+from genquot.linprog import LPProblem, solve_l1, solve_lp
 
 from conftest import enumerate_lp, highs_gauges
 
@@ -203,10 +203,8 @@ def _golden_infeasible():
 
 
 def _golden_crash_start():
-    from genquot.body import _gauge_lp
-
     body = gq.make_body(24, 576, gq.SeedSpec(7, 3))
-    return _gauge_lp(body, np.random.default_rng(59).normal(size=24))
+    return solve_l1(body.plus_minus, np.random.default_rng(59).normal(size=(1, 24)))[0]
 
 
 GOLDEN_CASES = {
@@ -313,6 +311,20 @@ def test_golden_pivot_path(name, monkeypatch):
     monkeypatch.setattr(linprog._Simplex, "_price", recording_price)
     assert _fingerprint(GOLDEN_CASES[name]()) == GOLDEN_PATHS[name]
     assert any(bland_flags) == (name == "bland-20x120")
+
+
+def test_certificate_checks_dual_feasibility():
+    # a gauge LP's crash basis is primal feasible but not optimal: its duals
+    # leave a negative reduced cost, which the closing certificate rejects
+    g, x, _ = _golden_gauge_lp(8, 32, 61, warm=False)
+    a, c, sign, keep = np.hstack([g, -g]), np.ones(64), np.where(x < 0, -1.0, 1.0), np.arange(8)
+    labels, _, basic, _, usable = linprog._crash_bases(g, x[None])
+    assert usable[0] and basic.min() >= 0
+    with pytest.raises(gq.NumericError, match="not dual feasible"):
+        linprog._certified(a, x, sign, c, labels[0], keep, 0)
+    opt = solve_lp(_gauge_problem(g, x))
+    assert linprog._certified(a, x, sign, c, opt.basis, keep, 0).objective_value == \
+        opt.objective_value
 
 
 def test_wide_gauge_lp_matches_highs():
