@@ -7,7 +7,9 @@ obtained from the Euclidean sandwich r D <= B <= R D: both ends carry honesty
 flags because the inradius r is itself an upper estimate above n = 6. The shift
 search scans T - lambda*Id over a window sized by the operator norm, using
 the Euclidean s-number as proxy objective, and reports the best shift with
-its bracket.
+its bracket. The scans find the exact grid minimum from the SVDs of a few
+grid shifts: by Weyl's inequality s_k(T - lambda*Id) is 1-Lipschitz in
+lambda (the s-number sum n-Lipschitz), which rules the other shifts out.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ __all__ = [
 _CERT_SAMPLES = 64
 _GRID_POINTS = 201  # shift-search grid size (min_over_shifts' default)
 _STACK_ENTRIES = 1 << 15  # matrix entries per stacked SVD of shifted operators (bounds its memory)
+_SCAN_STRIDE = 16  # the shift scan's first stacked SVD takes every 16th grid point
+_SCAN_BATCH = 16  # unpruned grid points per further stacked SVD of the scan
+_SCAN_SLACK = 1e-9  # pruning slack per unit of lipschitz * (|T|_F + window); far above rounding
 _RADII_STREAM_OFFSET = 0x5EED_0001  # derived stream for on-demand radii
 
 
@@ -62,7 +67,12 @@ class SNumberBracket:
 
 @dataclass(frozen=True)
 class ShiftSearchResult:
-    """Outcome of minimizing the s-number proxy over shifts T - lambda*Id."""
+    """Outcome of minimizing the s-number proxy over shifts T - lambda*Id.
+
+    grid holds the (shift, proxy value) pairs the scan evaluated, in shift
+    order: both window ends, 0, the trace mean and the candidates for the
+    minimum. The grid shifts left out were proven not to hold the minimum.
+    """
 
     best_shift: float
     best_value: float
@@ -168,10 +178,26 @@ def _shifted_singular_values(t: np.ndarray, lams: np.ndarray) -> np.ndarray:
                            for lo in range(0, lams.size, block)])
 
 
-def _shift_scan(values_of: Callable[[np.ndarray], np.ndarray], window: float,
-                grid_points: int, extra: tuple[float, ...]) -> tuple[float, float, tuple]:
-    """Grid scan of values_of (the proxy at each shift of an array) and
-    golden-section refinement, one shift per call, around the best grid point."""
+def _shift_scan(t: np.ndarray, objective: Callable[[np.ndarray], np.ndarray],
+                lipschitz: float, window: float, grid_points: int,
+                extra: tuple[float, ...]) -> tuple[float, float, tuple]:
+    """Minimize objective(singular values of t - lam*Id) over a grid of shifts
+    in [-window, window] (grid_points regular points plus the extra shifts in
+    the window), then refine by golden section around the best grid point.
+
+    objective maps the last axis of a singular-value array to the proxy, and
+    its value changes by at most lipschitz*|lam - mu| between shifts lam and
+    mu. The grid argmin is exact although most grid points are never
+    evaluated: a first stacked SVD takes every _SCAN_STRIDE-th point, the last
+    point and the extra shifts. Each other point has the lower bound
+    max over evaluated mu of v(mu) - lipschitz*|lam - mu|; points whose bound
+    exceeds the best value by more than the slack are pruned, and the
+    _SCAN_BATCH lowest bounds left go into one more stacked SVD, until no
+    point is left. The slack sits far above LAPACK's rounding, so a point that
+    could tie the minimum is always evaluated: the first-index argmin, the
+    golden-section bracket and every returned byte are those of the full grid.
+    Returns the best shift, its value and the evaluated (shift, value) pairs.
+    """
     if grid_points < 2:
         raise UsageError(f"shift search needs grid_points >= 2, got {grid_points}")
     lams = list(np.linspace(-window, window, grid_points))
@@ -179,15 +205,35 @@ def _shift_scan(values_of: Callable[[np.ndarray], np.ndarray], window: float,
         if -window <= lam <= window and lam not in lams:
             lams.append(lam)
     lams.sort()
-    vals = values_of(np.array(lams))
-    grid = tuple((float(lam), float(v)) for lam, v in zip(lams, vals))
+    shifts = np.array(lams)
+    vals = np.full(shifts.size, np.inf)
+    todo = np.zeros(shifts.size, dtype=bool)
+    todo[::_SCAN_STRIDE] = todo[-1] = True
+    todo |= np.isin(shifts, extra)
+    slack = _SCAN_SLACK * lipschitz * (float(np.linalg.norm(t)) + window)
+    while todo.any():
+        vals[todo] = objective(_shifted_singular_values(t, shifts[todo]))
+        seen = np.isfinite(vals)
+        open_ = np.flatnonzero(~seen)
+        lower = np.max(vals[seen] - lipschitz * np.abs(shifts[open_, None] - shifts[seen]),
+                       axis=1)
+        keep = lower <= vals.min() + slack
+        todo[:] = False
+        todo[open_[keep][np.argsort(lower[keep], kind="stable")[:_SCAN_BATCH]]] = True
+    seen = np.isfinite(vals)
+    grid = tuple((float(lam), float(v)) for lam, v in zip(shifts[seen], vals[seen]))
     i = int(np.argmin(vals))
-    best_shift, best_value = grid[i]
+    best_shift, best_value = float(shifts[i]), float(vals[i])
+    if best_value == 0.0:
+        return best_shift, best_value, grid  # singular values are >= 0: nothing to refine
     # bracket by the regular spacing: an extra shift may sit a rounding error
     # away from a grid point, and its neighbour would collapse the bracket
     span = 2.0 * window / (grid_points - 1)
     lo, hi = max(best_shift - span, -window), min(best_shift + span, window)
-    gx, gv = golden_min(lambda lam: float(values_of(np.array([lam]))[0]), lo, hi)
+    eye = np.eye(t.shape[0])
+    gx, gv = golden_min(lambda lam: float(objective(np.linalg.svd(t - lam * eye,
+                                                                   compute_uv=False))),
+                        lo, hi)
     if gv < best_value:
         best_shift, best_value = float(gx), float(gv)
     return best_shift, best_value, grid
@@ -212,15 +258,12 @@ def min_over_shifts(body: RandomQuotientBody, t, k: int, grid_points: int = _GRI
     if not 1 <= k <= body.n:
         raise UsageError(f"need 1 <= k <= n={body.n}, got k={k}")
     q = operator_norm(body, tm) if opnorm is None else float(opnorm)
-    eye = np.eye(body.n)
-
-    def values_of(lams: np.ndarray) -> np.ndarray:
-        return _shifted_singular_values(tm, lams)[:, k - 1]
-
     trace_mean = float(np.trace(tm)) / body.n
-    best_shift, best_value, grid = _shift_scan(values_of, 2.0 * q, grid_points,
-                                               (0.0, trace_mean))
-    bracket = gelfand_bracket(body, tm - best_shift * eye, k, rad=rad, cert_samples=0)
+    # Weyl: |s_k(T - lam Id) - s_k(T - mu Id)| <= |lam - mu|
+    best_shift, best_value, grid = _shift_scan(tm, lambda s: s[..., k - 1], 1.0, 2.0 * q,
+                                               grid_points, (0.0, trace_mean))
+    bracket = gelfand_bracket(body, tm - best_shift * np.eye(body.n), k, rad=rad,
+                              cert_samples=0)
     return ShiftSearchResult(best_shift=best_shift, best_value=best_value,
                              bracket_at_best=bracket, grid=grid)
 
@@ -244,12 +287,9 @@ def gelfand_sum_bracket(body: RandomQuotientBody, t,
     if not np.any(t0):
         return GelfandSumResult(traceless_shift=lam0, best_shift=lam0, sum_value=0.0)
     q0 = operator_norm(body, t0) if opnorm is None else float(opnorm)
-
-    def values_of(lams: np.ndarray) -> np.ndarray:
-        return _shifted_singular_values(t0, lams).sum(axis=1)
-
-    rel_shift, best_sum, _ = _shift_scan(values_of, 2.0 * q0, _GRID_POINTS,
-                                         (0.0, -lam0))
+    # the nuclear norm of (lam - mu) Id is n |lam - mu|
+    rel_shift, best_sum, _ = _shift_scan(t0, lambda s: s.sum(axis=-1), float(body.n),
+                                         2.0 * q0, _GRID_POINTS, (0.0, -lam0))
     return GelfandSumResult(traceless_shift=lam0, best_shift=lam0 + rel_shift,
                             sum_value=best_sum)
 

@@ -4,14 +4,41 @@ import numpy as np
 import pytest
 
 import genquot as gq
+from genquot.linalg import golden_min
 from genquot.sampler import generator
-from genquot.snumbers import GelfandSumResult, _restriction_certificate
+from genquot.snumbers import _GRID_POINTS, GelfandSumResult, _restriction_certificate
 
 from conftest import net_gelfand_3d
 
 
 def seed(i, j=0):
     return gq.SeedSpec(i, j)
+
+
+def _full_grid(t, window, grid_points, extra):
+    """The shift grid of a scan and the singular values of t - lam*Id at every
+    grid shift, one SVD per shift: the unpruned scan's grid."""
+    lams = list(np.linspace(-window, window, grid_points))
+    lams += [lam for lam in extra if -window <= lam <= window and lam not in lams]
+    lams.sort()
+    eye = np.eye(t.shape[0])
+    return lams, [np.linalg.svd(t - lam * eye, compute_uv=False) for lam in lams]
+
+
+def _unpruned_scan(t, lams, svals, objective, window, grid_points):
+    """Reference shift scan: first-index argmin of the objective over every
+    grid shift, then golden section on the regular-spacing bracket."""
+    vals = [float(objective(s)) for s in svals]
+    i = int(np.argmin(vals))
+    best_shift, best_value = float(lams[i]), vals[i]
+    span = 2.0 * window / (grid_points - 1)
+    eye = np.eye(t.shape[0])
+    gx, gv = golden_min(lambda lam: float(objective(np.linalg.svd(t - lam * eye,
+                                                                   compute_uv=False))),
+                        max(best_shift - span, -window), min(best_shift + span, window))
+    if gv < best_value:
+        best_shift, best_value = float(gx), float(gv)
+    return best_shift, best_value
 
 
 class TestEuclideanSNumbers:
@@ -143,7 +170,8 @@ class TestMinOverShifts:
         base = gq.min_over_shifts(body, t, k=2, rad=rad)
         mu = 0.8
         shifted = gq.min_over_shifts(body, t + mu * np.eye(4), k=2, rad=rad)
-        grid_step = (base.grid[-1][0] - base.grid[0][0]) / (len(base.grid) - 1)
+        window = base.grid[-1][0]  # the scan always evaluates both window ends
+        grid_step = 2.0 * window / (_GRID_POINTS - 1)
         assert abs(shifted.best_shift - (base.best_shift + mu)) <= 2 * grid_step + 1e-9
         assert shifted.bracket_at_best.lower == pytest.approx(base.bracket_at_best.lower, abs=1e-9)
         assert shifted.bracket_at_best.upper == pytest.approx(base.bracket_at_best.upper, abs=1e-9)
@@ -153,9 +181,57 @@ class TestMinOverShifts:
         body = gq.make_body(8, 16, seed(84))
         t = gq.gaussian_matrix(8, 8, 1.0, seed(84, 1))
         res = gq.min_over_shifts(body, t, k=4, grid_points=grid_points, opnorm=3.0)
-        assert len(res.grid) >= grid_points
+        trace_mean = float(np.trace(t)) / 8
+        shifts = [lam for lam, _ in res.grid]
+        assert shifts == sorted(shifts)
+        assert {-6.0, 6.0, 0.0, trace_mean} <= set(shifts)
         for lam, value in res.grid:
             assert value == float(np.linalg.svd(t - lam * np.eye(8), compute_uv=False)[3])
+        lams, svals = _full_grid(t, 6.0, grid_points, (0.0, trace_mean))
+        ref = _unpruned_scan(t, lams, svals, lambda s: s[..., 3], 6.0, grid_points)
+        assert (res.best_shift.hex(), res.best_value.hex()) == tuple(x.hex() for x in ref)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_pruned_scan_matches_unpruned_grid(self, n):
+        """The Lipschitz-pruned scan returns the bits of the full-grid scan,
+        for both objectives at every k, ties and degenerate operators included."""
+        body = gq.make_body(n, 2 * n, seed(87, n))
+        rad = gq.radii(body, seed=seed(87, 100 + n))
+        gauss = gq.gaussian_matrix(n, n, 1.0, seed(88, n))
+        m = n // 2
+        # window 1.5625: the grid step is 2^-6, and the dyadic diagonal's exact
+        # ties sit on grid shifts (s_n = 0 at -0.25 and 0.25; a flat sum between)
+        ties = np.diag([0.25] * m + [0.0] * (n - 2 * m) + [-0.25] * m)
+        cases = [
+            (gauss, None),
+            (gq.haar_subspace(n, n, seed(89, n)).basis, None),
+            (1.5 * np.eye(n), None),
+            (-0.75 * np.eye(n), None),
+            (ties, 0.78125),
+            (np.outer(gauss[0], gauss[1]), None),
+            (np.eye(n, k=1), None),
+            (2.0 ** 30 * gauss, None),
+            (2.0 ** -30 * gauss, None),
+        ]
+        for t, q in cases:
+            q = float(np.linalg.norm(t, 2)) if q is None else q
+            trace_mean = float(np.trace(t)) / n
+            lams, svals = _full_grid(t, 2.0 * q, _GRID_POINTS, (0.0, trace_mean))
+            for k in range(1, n + 1):
+                res = gq.min_over_shifts(body, t, k, opnorm=q, rad=rad)
+                ref = _unpruned_scan(t, lams, svals, lambda s: s[..., k - 1], 2.0 * q,
+                                     _GRID_POINTS)
+                assert (res.best_shift.hex(), res.best_value.hex()) == \
+                    tuple(x.hex() for x in ref), (n, k)
+            t0 = t - trace_mean * np.eye(n)
+            if not np.any(t0):
+                continue
+            lams0, svals0 = _full_grid(t0, 2.0 * q, _GRID_POINTS, (0.0, -trace_mean))
+            rel, ref_sum = _unpruned_scan(t0, lams0, svals0, lambda s: s.sum(axis=-1),
+                                          2.0 * q, _GRID_POINTS)
+            res = gq.gelfand_sum_bracket(body, t, opnorm=q)
+            assert (res.best_shift.hex(), res.sum_value.hex()) == \
+                ((trace_mean + rel).hex(), ref_sum.hex()), n
 
     def test_zero_operator_rejected(self):
         body = gq.make_body(3, 6, seed(83))
