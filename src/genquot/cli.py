@@ -285,8 +285,8 @@ def _cmd_snumbers(args) -> int:
     br = gelfand_bracket(body, t, args.k, dual=args.dual)
     name = "d" if args.dual else "c"
     print(f"{name}_{br.k} in [{br.lower:.12g}, {br.upper:.12g}] "
-          f"(kinds {br.lower_kind}/{br.upper_kind}, certificate "
-          f"{br.upper_certificate if br.upper_certificate is not None else 'n/a'})")
+          f"(kinds {br.lower_kind}/{br.upper_kind}, sampled restricted norm, a lower "
+          f"estimate, {br.upper_certificate if br.upper_certificate is not None else 'n/a'})")
     return 0
 
 

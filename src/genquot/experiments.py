@@ -519,8 +519,7 @@ def _thm22_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> di
     body = make_body(n, big_n, sd)
     t_op = _operator_for_trial(n, t, cfg.trials, sd.child(1))
     q = operator_norm(body, t_op)
-    est = radii(body, seed=sd.child(2))
-    res = min_over_shifts(body, t_op, k=n // 2, opnorm=q, rad=est)
+    res = min_over_shifts(body, t_op, k=n // 2, opnorm=q)
     denom = q / math.sqrt(n)
     return {
         "cell": _cell_label(cell), "n": n, "N": big_n, "trial": t,

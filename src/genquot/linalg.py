@@ -24,6 +24,7 @@ __all__ = [
     "SvdResult",
     "OrthoResult",
     "svd",
+    "singular_values",
     "orthonormalize",
     "format_matrix",
     "parse_matrix",
@@ -124,9 +125,18 @@ def svd(m) -> SvdResult:
     a = as_matrix(m)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD did not converge: {exc}") from exc
     return SvdResult(left_basis=u, singular_values=s, right_basis=vt.T)
+
+
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """np.linalg.svd(a, compute_uv=False) of a matrix or a stack of them, with
+    no input check; LAPACK non-convergence is a NumericError, as in svd."""
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD did not converge: {exc}") from exc
 
 
 def orthonormalize(vectors: Sequence) -> OrthoResult:

@@ -2,12 +2,11 @@
 
 Euclidean s-numbers are singular values (and coincide with Gelfand numbers
 between Euclidean spaces). On the quotient norm the Gelfand infimum over
-subspaces is intractable, so operators get a certified-style *bracket*
-obtained from the Euclidean sandwich r D <= B <= R D: both ends carry honesty
-flags because the inradius r is itself an upper estimate above n = 6. The shift
-search scans T - lambda*Id over a window sized by the operator norm, using
-the Euclidean s-number as proxy objective, and reports the best shift with
-its bracket. The scans find the exact grid minimum from the SVDs of a few
+subspaces is intractable, so operators get a certified *bracket* from the
+Euclidean sandwich r D <= B <= R D on the certified inradius floor r. The
+shift search scans T - lambda*Id over a window sized by the operator norm,
+the s-number sum's search over one sized by the nuclear norm, using
+Euclidean s-numbers as proxy objective. The scans find the exact grid minimum from the SVDs of a few
 grid shifts: by Weyl's inequality s_k(T - lambda*Id) is 1-Lipschitz in
 lambda (the s-number sum n-Lipschitz), which rules the other shifts out.
 """
@@ -19,10 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .body import (RadiiEstimate, RandomQuotientBody, body_norm_many, dual_norm_many,
-                   operator_norm, radii)
+from .body import RandomQuotientBody, body_norm_many, dual_norm_many, operator_norm
 from .errors import UsageError
-from .linalg import as_matrix, check_orthonormal, golden_min, svd
+from .linalg import as_matrix, check_orthonormal, golden_min, singular_values, svd
 from .sampler import HaarSubspace, generator
 
 __all__ = [
@@ -44,17 +42,17 @@ _STACK_ENTRIES = 1 << 15  # matrix entries per stacked SVD of shifted operators 
 _SCAN_STRIDE = 16  # the shift scan's first stacked SVD takes every 16th grid point
 _SCAN_BATCH = 16  # unpruned grid points per further stacked SVD of the scan
 _SCAN_SLACK = 1e-9  # pruning slack per unit of lipschitz * (|T|_F + window); far above rounding
-_RADII_STREAM_OFFSET = 0x5EED_0001  # derived stream for on-demand radii
 
 
 @dataclass(frozen=True)
 class SNumberBracket:
-    """Lower/upper estimate pair for a Gelfand number, with certificate kinds.
+    """Lower/upper bound pair for a Gelfand number, with certificate kinds.
 
-    Kinds are "exact" (both sides 0, when s_k = 0) or "sampled": both sandwich
-    sides depend on the sampled inradius estimate. upper_certificate records
-    the sampled evaluation of the restriction norm on the canonical
-    codim-(k-1) subspace; it is diagnostic and never tightens the bracket.
+    Kinds are "exact" (both sides 0, when s_k = 0) or "certified" (the
+    sandwich on the certified inradius floor). upper_certificate, despite its
+    name, is a sampled max of ||Tz|| / ||z|| over a codim-(k-1) subspace: a
+    *lower* estimate of that restricted norm (which bounds c_k from above),
+    so no certificate. It is diagnostic and never tightens the bracket.
     """
 
     k: int
@@ -71,7 +69,7 @@ class ShiftSearchResult:
 
     grid holds the (shift, proxy value) pairs the scan evaluated, in shift
     order: both window ends, 0, the trace mean and the candidates for the
-    minimum. The grid shifts left out were proven not to hold the minimum.
+    minimum. The shifts left out were proven not to hold it. Only tests read grid.
     """
 
     best_shift: float
@@ -135,14 +133,13 @@ def _restriction_certificate(body: RandomQuotientBody, t: np.ndarray, k: int,
 
 
 def gelfand_bracket(body: RandomQuotientBody, t, k: int, dual: bool = False,
-                    rad: RadiiEstimate | None = None,
                     cert_samples: int = _CERT_SAMPLES) -> SNumberBracket:
-    """Bracket [(r/R) s_k, (R/r) s_k] for the k-th Gelfand number of T on X_n.
-
+    """Bracket [(r/R) s_k, (R/r) s_k] for the k-th Gelfand number of T on X_n,
+    with R the exact circumradius and r = body.inradius_floor: the sandwich
+    r D <= B <= R D holds for any r up to the inradius, so both ends are certified.
     dual=True brackets the Kolmogorov number instead, via d_k(T) = c_k(T*) on
     the dual (support-function) norm; the sandwich endpoints coincide because
     the polar of r D <= B <= R D is (1/R) D <= B-polar <= (1/r) D.
-    Pass a precomputed RadiiEstimate to avoid re-running the inradius search.
     """
     tm = as_matrix(t, "T")
     if tm.shape != (body.n, body.n):
@@ -154,15 +151,13 @@ def gelfand_bracket(body: RandomQuotientBody, t, k: int, dual: bool = False,
     if sk == 0.0:
         return SNumberBracket(k=k, lower=0.0, upper=0.0, lower_kind="exact",
                               upper_kind="exact", upper_certificate=0.0)
-    if rad is None:
-        rad = radii(body, seed=body.seed.child(_RADII_STREAM_OFFSET))
-    ratio = rad.inradius_estimate / rad.circumradius
+    ratio = body.inradius_floor / body.circumradius
     cert = None
     if cert_samples > 0:
         work = tm.T if dual else tm
         cert = _restriction_certificate(body, work, k, dec.right_basis, dual, cert_samples)
     return SNumberBracket(k=k, lower=ratio * sk, upper=sk / ratio,
-                          lower_kind="sampled", upper_kind="sampled",
+                          lower_kind="certified", upper_kind="certified",
                           upper_certificate=cert)
 
 
@@ -173,8 +168,7 @@ def _shifted_singular_values(t: np.ndarray, lams: np.ndarray) -> np.ndarray:
     values are the bytes of one np.linalg.svd call per shift."""
     eye = np.eye(t.shape[0])
     block = max(1, _STACK_ENTRIES // t.size)
-    return np.concatenate([np.linalg.svd(t - lams[lo:lo + block, None, None] * eye,
-                                         compute_uv=False)
+    return np.concatenate([singular_values(t - lams[lo:lo + block, None, None] * eye)
                            for lo in range(0, lams.size, block)])
 
 
@@ -231,24 +225,21 @@ def _shift_scan(t: np.ndarray, objective: Callable[[np.ndarray], np.ndarray],
     span = 2.0 * window / (grid_points - 1)
     lo, hi = max(best_shift - span, -window), min(best_shift + span, window)
     eye = np.eye(t.shape[0])
-    gx, gv = golden_min(lambda lam: float(objective(np.linalg.svd(t - lam * eye,
-                                                                   compute_uv=False))),
-                        lo, hi)
+    gx, gv = golden_min(lambda lam: float(objective(singular_values(t - lam * eye))), lo, hi)
     if gv < best_value:
         best_shift, best_value = float(gx), float(gv)
     return best_shift, best_value, grid
 
 
 def min_over_shifts(body: RandomQuotientBody, t, k: int, grid_points: int = _GRID_POINTS,
-                    opnorm: float | None = None,
-                    rad: RadiiEstimate | None = None) -> ShiftSearchResult:
+                    opnorm: float | None = None) -> ShiftSearchResult:
     """Minimize the Euclidean proxy s_k(T - lambda*Id) over a shift window.
 
     The window is [-2 ||T||_X, +2 ||T||_X]; the grid always contains 0 and the
     trace mean tr(T)/n (exact minimizer for multiples of the identity), and is
     refined by golden section around the best grid point. The returned value
     is an upper bound on the infimum over all real shifts. The bracket at the
-    best shift carries no sampled certificate (upper_certificate is None).
+    best shift carries no sampled restricted norm (upper_certificate is None).
     """
     tm = as_matrix(t, "T")
     if tm.shape != (body.n, body.n):
@@ -262,34 +253,33 @@ def min_over_shifts(body: RandomQuotientBody, t, k: int, grid_points: int = _GRI
     # Weyl: |s_k(T - lam Id) - s_k(T - mu Id)| <= |lam - mu|
     best_shift, best_value, grid = _shift_scan(tm, lambda s: s[..., k - 1], 1.0, 2.0 * q,
                                                grid_points, (0.0, trace_mean))
-    bracket = gelfand_bracket(body, tm - best_shift * np.eye(body.n), k, rad=rad,
-                              cert_samples=0)
+    bracket = gelfand_bracket(body, tm - best_shift * np.eye(body.n), k, cert_samples=0)
     return ShiftSearchResult(best_shift=best_shift, best_value=best_value,
                              bracket_at_best=bracket, grid=grid)
 
 
-def gelfand_sum_bracket(body: RandomQuotientBody, t,
-                        opnorm: float | None = None) -> GelfandSumResult:
-    """Best shifted s-number sum: shift to the traceless representative, then
-    grid-search a further shift minimizing sum_i s_i(T0 - lambda*Id).
+def gelfand_sum_bracket(body: RandomQuotientBody, t) -> GelfandSumResult:
+    """Best shifted s-number sum: shift to the traceless representative T0,
+    then grid-search a further shift minimizing the convex nuclear norm
+    f(lambda) = ||T0 - lambda*Id||_* = sum_i s_i(T0 - lambda*Id).
 
-    The window is [-2 q, 2 q] with q = ||T0||_X (opnorm, when given). best_shift
-    is the total shift (traceless part included); the search grid always
-    contains the two distinguished shifts 0 and -tr(T)/n (i.e. total shifts
-    tr(T)/n and 0).
+    The window [-w, w], w = ||T0||_* / n, holds every minimizer, as
+    f(lambda) >= |tr(T0 - lambda*Id)| = n |lambda| and min f <= f(0): the
+    result is the global minimum. best_shift is the total shift (traceless
+    part included); the grid contains the relative shifts 0 and, when inside
+    the window, -tr(T)/n (total shifts tr(T)/n and 0).
     """
     tm = as_matrix(t, "T")
     if tm.shape != (body.n, body.n):
         raise UsageError(f"T must be {body.n}x{body.n}, got {tm.shape}")
     lam0 = float(np.trace(tm)) / body.n
-    eye = np.eye(body.n)
-    t0 = tm - lam0 * eye
+    t0 = tm - lam0 * np.eye(body.n)
     if not np.any(t0):
         return GelfandSumResult(traceless_shift=lam0, best_shift=lam0, sum_value=0.0)
-    q0 = operator_norm(body, t0) if opnorm is None else float(opnorm)
+    window = float(singular_values(t0).sum()) / body.n
     # the nuclear norm of (lam - mu) Id is n |lam - mu|
     rel_shift, best_sum, _ = _shift_scan(t0, lambda s: s.sum(axis=-1), float(body.n),
-                                         2.0 * q0, _GRID_POINTS, (0.0, -lam0))
+                                         window, _GRID_POINTS, (0.0, -lam0))
     return GelfandSumResult(traceless_shift=lam0, best_shift=lam0 + rel_shift,
                             sum_value=best_sum)
 
@@ -306,7 +296,7 @@ def mn_witness_check(t, f: HaarSubspace | np.ndarray, beta: float) -> MnWitness:
     if b.shape[0] != tm.shape[0] or tm.shape[0] != tm.shape[1]:
         raise UsageError(f"T is {tm.shape}, basis ambient dimension {b.shape[0]}")
     m = (tm @ b) - b @ (b.T @ (tm @ b))
-    achieved = float(np.linalg.svd(m, compute_uv=False)[-1])
+    achieved = float(singular_values(m)[-1])
     return MnWitness(subspace_basis=b, alpha=b.shape[1], beta=float(beta),
                      achieved=achieved)
 

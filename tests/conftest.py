@@ -25,6 +25,35 @@ def thresholds():
 
 
 @pytest.fixture()
+def no_radii(monkeypatch):
+    """Make the inradius search raise wherever it can be reached from."""
+    import genquot.body
+    import genquot.cli
+    import genquot.experiments
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the inradius search ran")
+
+    for module in (gq, genquot.body, genquot.cli, genquot.experiments):
+        monkeypatch.setattr(module, "radii", fail)
+    monkeypatch.setattr(genquot.body, "_walked_inradius", fail)
+
+
+@pytest.fixture()
+def svd_fails_on_square(monkeypatch):
+    """np.linalg.svd raises LAPACK's LinAlgError on square matrices (and stacks
+    of them), as on non-convergence; body matrices (n < N) still decompose."""
+    real = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        if np.shape(a)[-1] == np.shape(a)[-2]:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+
+
+@pytest.fixture()
 def cross2():
     return gq.body_from_matrix(np.eye(2))
 

@@ -129,6 +129,25 @@ def test_shiftsearch(body_file, tmp_path, capsys):
     assert "proxy_value 0" in out
 
 
+@pytest.mark.parametrize("argv", [["shiftsearch"], ["snumbers", "--k", "2"]])
+def test_shift_search_and_bracket_run_no_inradius_search(body_file, tmp_path, capsys,
+                                                         no_radii, argv):
+    mpath = tmp_path / "t.mtx"
+    gq.write_matrix(gq.gaussian_matrix(3, 3, 1.0, gq.SeedSpec(5, 0)), mpath)
+    assert main([*argv, "--body", str(body_file), "--matrix", str(mpath)]) == 0
+    assert "[" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["shiftsearch"], ["snumbers", "--k", "2"], ["snumbers"]])
+def test_lapack_failure_exits_3(body_file, tmp_path, capsys, svd_fails_on_square, argv):
+    mpath = tmp_path / "t.mtx"
+    gq.write_matrix(gq.gaussian_matrix(3, 3, 1.0, gq.SeedSpec(5, 0)), mpath)
+    assert main([*argv, "--body", str(body_file), "--matrix", str(mpath)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("genquot: numeric error: SVD did not converge")
+
+
 def _assert_usage_error_line(err: str):
     # one message line after the config log line, never a traceback
     assert "Traceback" not in err

@@ -311,6 +311,18 @@ class TestSmallSuiteRuns:
         assert rep.aggregate["error_count"] == 0
         assert rep.trials[0]["sum_value"] > 0
 
+    def test_thm22_runs_no_inradius_estimate(self, no_radii):
+        # the Gelfand bracket is built on the body's certified inradius floor
+        rep = gq.run_suite(tiny("thm22", trials=1, size_grid=((8, 16),)))
+        assert rep.aggregate["error_count"] == 0
+        assert rep.trials[0]["bracket_upper_ratio"] > 0
+
+    def test_thm22_lapack_failure_is_a_trial_error(self, svd_fails_on_square):
+        rep = gq.run_suite(tiny("thm22", trials=1, size_grid=((8, 16),)))
+        assert rep.aggregate["error_count"] == 1
+        assert rep.trials[0]["error"].startswith("NumericError: SVD did not converge")
+        assert not rep.passed
+
     def test_hsbound_small(self):
         rep = gq.run_suite(tiny("hsbound", trials=5, size_grid=((6, 24),)))
         assert rep.passed

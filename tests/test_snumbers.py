@@ -6,7 +6,8 @@ import pytest
 import genquot as gq
 from genquot.linalg import golden_min
 from genquot.sampler import generator
-from genquot.snumbers import _GRID_POINTS, GelfandSumResult, _restriction_certificate
+from genquot.snumbers import (_GRID_POINTS, GelfandSumResult, _restriction_certificate,
+                              _shift_scan)
 
 from conftest import net_gelfand_3d
 
@@ -78,7 +79,7 @@ class TestGelfandBracket:
         for k in (1, 2, 4):
             br = gq.gelfand_bracket(body, np.eye(4), k)
             assert br.lower <= 1.0 <= br.upper
-            assert br.lower_kind == "sampled" and br.upper_kind == "sampled"
+            assert br.lower_kind == "certified" and br.upper_kind == "certified"
 
     def test_zero_operator_exact(self):
         body = gq.make_body(3, 6, seed(74))
@@ -96,8 +97,7 @@ class TestGelfandBracket:
     def test_monotone_in_k(self):
         body = gq.make_body(5, 10, seed(75))
         t = gq.gaussian_matrix(5, 5, 1.0, seed(75, 1))
-        rad = gq.radii(body, seed=seed(75, 2))
-        brs = [gq.gelfand_bracket(body, t, k, rad=rad, cert_samples=0) for k in range(1, 6)]
+        brs = [gq.gelfand_bracket(body, t, k, cert_samples=0) for k in range(1, 6)]
         for a, b in zip(brs, brs[1:]):
             assert b.lower <= a.lower + 1e-9
             assert b.upper <= a.upper + 1e-9
@@ -105,9 +105,8 @@ class TestGelfandBracket:
     def test_dual_mode_same_sandwich(self):
         body = gq.make_body(3, 9, seed(76))
         t = gq.gaussian_matrix(3, 3, 1.0, seed(76, 1))
-        rad = gq.radii(body, seed=seed(76, 2))
-        primal = gq.gelfand_bracket(body, t, 2, rad=rad)
-        dual = gq.gelfand_bracket(body, t, 2, dual=True, rad=rad)
+        primal = gq.gelfand_bracket(body, t, 2)
+        dual = gq.gelfand_bracket(body, t, 2, dual=True)
         assert dual.lower == pytest.approx(primal.lower, rel=1e-12)
         assert dual.upper == pytest.approx(primal.upper, rel=1e-12)
 
@@ -127,6 +126,32 @@ class TestGelfandBracket:
         ref = max(norm(body, work @ z) / norm(body, z) for z in dirs)
         # the polar-facet gauges at n <= 6 agree with the LP to its tolerance
         assert got == pytest.approx(ref, rel=1e-7 if n <= 6 else 1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_floor_bracket_contains_exact_inradius_bracket(self, n):
+        # up to n = 6 radii reads the exact inradius r off the polar hull; the
+        # certified floor sigma_min/sqrt(N) <= r only widens the sandwich
+        for big_n in (n + 1, 2 * n, 8 * n):
+            for i in range(3):
+                body = gq.make_body(n, big_n, seed(94, 100 * big_n + i))
+                t = gq.gaussian_matrix(n, n, 1.0, seed(95, 100 * big_n + i))
+                r = gq.radii(body, seed=seed(96, i)).inradius_estimate
+                assert body.inradius_floor <= r
+                ratio = r / body.circumradius
+                s = gq.euclidean_s_numbers(t)
+                for k in range(1, n + 1):
+                    for dual in (False, True):
+                        br = gq.gelfand_bracket(body, t, k, dual=dual, cert_samples=0)
+                        assert br.lower <= ratio * s[k - 1], (big_n, i, k, dual)
+                        assert br.upper >= s[k - 1] / ratio, (big_n, i, k, dual)
+
+    def test_no_inradius_search(self, no_radii):
+        body = gq.make_body(8, 16, seed(97))  # n > 6: radii would descend and walk
+        t = gq.gaussian_matrix(8, 8, 1.0, seed(97, 1))
+        for dual in (False, True):
+            br = gq.gelfand_bracket(body, t, 4, dual=dual)
+            assert (br.lower_kind, br.upper_kind) == ("certified", "certified")
+        assert gq.min_over_shifts(body, t, 4).bracket_at_best.upper_kind == "certified"
 
     def test_k_validated(self):
         body = gq.make_body(3, 6, seed(77))
@@ -166,10 +191,9 @@ class TestMinOverShifts:
     def test_argmin_invariance_under_identity_shift(self):
         body = gq.make_body(4, 9, seed(82))
         t = gq.gaussian_matrix(4, 4, 1.0, seed(82, 1))
-        rad = gq.radii(body, seed=seed(82, 2))
-        base = gq.min_over_shifts(body, t, k=2, rad=rad)
+        base = gq.min_over_shifts(body, t, k=2)
         mu = 0.8
-        shifted = gq.min_over_shifts(body, t + mu * np.eye(4), k=2, rad=rad)
+        shifted = gq.min_over_shifts(body, t + mu * np.eye(4), k=2)
         window = base.grid[-1][0]  # the scan always evaluates both window ends
         grid_step = 2.0 * window / (_GRID_POINTS - 1)
         assert abs(shifted.best_shift - (base.best_shift + mu)) <= 2 * grid_step + 1e-9
@@ -196,7 +220,6 @@ class TestMinOverShifts:
         """The Lipschitz-pruned scan returns the bits of the full-grid scan,
         for both objectives at every k, ties and degenerate operators included."""
         body = gq.make_body(n, 2 * n, seed(87, n))
-        rad = gq.radii(body, seed=seed(87, 100 + n))
         gauss = gq.gaussian_matrix(n, n, 1.0, seed(88, n))
         m = n // 2
         # window 1.5625: the grid step is 2^-6, and the dyadic diagonal's exact
@@ -218,7 +241,7 @@ class TestMinOverShifts:
             trace_mean = float(np.trace(t)) / n
             lams, svals = _full_grid(t, 2.0 * q, _GRID_POINTS, (0.0, trace_mean))
             for k in range(1, n + 1):
-                res = gq.min_over_shifts(body, t, k, opnorm=q, rad=rad)
+                res = gq.min_over_shifts(body, t, k, opnorm=q)
                 ref = _unpruned_scan(t, lams, svals, lambda s: s[..., k - 1], 2.0 * q,
                                      _GRID_POINTS)
                 assert (res.best_shift.hex(), res.best_value.hex()) == \
@@ -226,12 +249,20 @@ class TestMinOverShifts:
             t0 = t - trace_mean * np.eye(n)
             if not np.any(t0):
                 continue
-            lams0, svals0 = _full_grid(t0, 2.0 * q, _GRID_POINTS, (0.0, -trace_mean))
-            rel, ref_sum = _unpruned_scan(t0, lams0, svals0, lambda s: s.sum(axis=-1),
-                                          2.0 * q, _GRID_POINTS)
-            res = gq.gelfand_sum_bracket(body, t, opnorm=q)
-            assert (res.best_shift.hex(), res.sum_value.hex()) == \
-                ((trace_mean + rel).hex(), ref_sum.hex()), n
+            # the sum's own window ||T0||_* / n, and the operator-norm window
+            # on which the dyadic ties sit on grid shifts
+            nuclear = float(np.linalg.svd(t0, compute_uv=False).sum()) / n
+            for window in (nuclear, 2.0 * q):
+                lams0, svals0 = _full_grid(t0, window, _GRID_POINTS, (0.0, -trace_mean))
+                rel, ref_sum = _unpruned_scan(t0, lams0, svals0, lambda s: s.sum(axis=-1),
+                                              window, _GRID_POINTS)
+                got = _shift_scan(t0, lambda s: s.sum(axis=-1), float(n), window,
+                                  _GRID_POINTS, (0.0, -trace_mean))
+                assert (got[0].hex(), got[1].hex()) == (rel.hex(), ref_sum.hex()), (n, window)
+                if window == nuclear:
+                    res = gq.gelfand_sum_bracket(body, t)
+                    assert (res.best_shift.hex(), res.sum_value.hex()) == \
+                        ((trace_mean + rel).hex(), ref_sum.hex()), n
 
     def test_zero_operator_rejected(self):
         body = gq.make_body(3, 6, seed(83))
@@ -261,23 +292,72 @@ class TestGelfandSum:
         assert res.sum_value <= np.sum(gq.euclidean_s_numbers(t)) + 1e-9
 
     def test_refinement_stable_under_one_ulp_window_move(self):
-        # thm32 at seed 7, cell 8x64, trial 0: at the lower window a grid point
-        # lands at -3.55e-15, beside the extra shift 0.0; bracketing by grid
-        # neighbours then missed the minimizer near 0.00955
+        # thm32 at seed 7, cell 8x64, trial 0. On the operator-norm window
+        # 2 ||T0||_X, one ulp lower puts a grid point at -3.55e-15, beside the
+        # extra shift 0.0; bracketing by grid neighbours then missed the
+        # minimizer near 0.00955. The sum's own window is ||T0||_* / n.
         from scipy.optimize import minimize_scalar
 
-        body = gq.make_body(8, 64, seed(7))
         t = gq.gaussian_matrix(8, 8, 1.0, seed(7).child(1))
-        q0 = 12.690647087798382
-        values = [gq.gelfand_sum_bracket(body, t, opnorm=q).sum_value
-                  for q in (q0, np.nextafter(q0, 0.0), np.nextafter(q0, np.inf))]
-        assert values[1] == pytest.approx(values[0], rel=1e-12)
-        assert values[2] == pytest.approx(values[0], rel=1e-12)
-        t0 = t - np.trace(t) / 8 * np.eye(8)
-        ref = minimize_scalar(lambda lam: np.linalg.svd(t0 - lam * np.eye(8), compute_uv=False).sum(),
-                              bounds=(-2 * q0, 2 * q0), method="bounded",
-                              options={"xatol": 1e-12})
-        assert max(values) <= ref.fun + 1e-12
+        lam0 = float(np.trace(t)) / 8
+        t0 = t - lam0 * np.eye(8)
+        q0 = 12.690647087798382  # the ||T0||_X that exposed the failure
+        for w0 in (float(np.linalg.svd(t0, compute_uv=False).sum()) / 8, 2 * q0):
+            values = [_shift_scan(t0, lambda s: s.sum(axis=-1), 8.0, w, _GRID_POINTS,
+                                  (0.0, -lam0))[1]
+                      for w in (w0, np.nextafter(w0, 0.0), np.nextafter(w0, np.inf))]
+            assert values[1] == pytest.approx(values[0], rel=1e-12)
+            assert values[2] == pytest.approx(values[0], rel=1e-12)
+            ref = minimize_scalar(lambda lam: np.linalg.svd(t0 - lam * np.eye(8),
+                                                            compute_uv=False).sum(),
+                                  bounds=(-w0, w0), method="bounded",
+                                  options={"xatol": 1e-12})
+            assert max(values) <= ref.fun + 1e-12
+
+
+class TestNuclearWindow:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_no_wider_search_finds_a_smaller_sum(self, n):
+        """Every minimizer of the convex sum lies in the window ||T0||_* / n:
+        a bounded search on a window 4x wider than both that window and the
+        operator-norm window 2 ||T0||_X finds no smaller sum."""
+        from scipy.optimize import minimize_scalar
+
+        body = gq.make_body(n, 2 * n, seed(98, n))
+        gauss = gq.gaussian_matrix(n, n, 1.0, seed(99, n))
+        m = n // 2
+        cases = [
+            gauss,
+            gq.haar_subspace(n, n, seed(100, n)).basis,
+            np.outer(gauss[0], gauss[1]),
+            np.eye(n, k=1),
+            np.diag([1.0] * m + [3.0] * (n - m)),
+            2.0 ** 30 * gauss,
+            2.0 ** -30 * gauss,
+        ]
+        eye = np.eye(n)
+        for case, t in enumerate(cases):
+            res = gq.gelfand_sum_bracket(body, t)
+            t0 = t - res.traceless_shift * eye
+            nuclear = float(np.linalg.svd(t0, compute_uv=False).sum()) / n
+            wide = 4.0 * max(nuclear, 2.0 * gq.operator_norm(body, t0))
+            ref = minimize_scalar(lambda lam: np.linalg.svd(t0 - lam * eye,
+                                                            compute_uv=False).sum(),
+                                  bounds=(-wide, wide), method="bounded",
+                                  options={"xatol": 1e-12 * wide})
+            assert res.sum_value <= ref.fun * (1 + 1e-12), (n, case)
+
+
+class TestLapackFailure:
+    def test_snumbers_raise_numeric_error(self, svd_fails_on_square):
+        body = gq.make_body(4, 8, seed(101))
+        t = gq.gaussian_matrix(4, 4, 1.0, seed(101, 1))
+        for call in (lambda: gq.min_over_shifts(body, t, 2, opnorm=1.0),
+                     lambda: gq.gelfand_sum_bracket(body, t),
+                     lambda: gq.gelfand_bracket(body, t, 2),
+                     lambda: gq.mn_witness_check(t, np.eye(4), 0.5)):  # a 4x4 witness matrix
+            with pytest.raises(gq.NumericError, match="SVD did not converge"):
+                call()
 
 
 class TestMnWitness:
@@ -345,8 +425,7 @@ class TestScalingHomogeneity:
     def test_brackets_scale_with_operator(self):
         body = gq.make_body(4, 9, seed(93))
         t = gq.gaussian_matrix(4, 4, 1.0, seed(93, 1))
-        rad = gq.radii(body, seed=seed(93, 2))
-        base = gq.gelfand_bracket(body, t, 2, rad=rad, cert_samples=0)
-        scaled = gq.gelfand_bracket(body, -2.0 * t, 2, rad=rad, cert_samples=0)
+        base = gq.gelfand_bracket(body, t, 2, cert_samples=0)
+        scaled = gq.gelfand_bracket(body, -2.0 * t, 2, cert_samples=0)
         assert scaled.lower == pytest.approx(2.0 * base.lower, rel=1e-9)
         assert scaled.upper == pytest.approx(2.0 * base.upper, rel=1e-9)
