@@ -13,14 +13,15 @@ polar body, so a batch of gauges is a single max of inner products and the
 inradius is exact (the polar vertex of largest norm). Both gauge routes
 agree to LP tolerance and are cross-checked in the test suite.
 Every gauge LP goes through linprog.solve_l1, which runs a batch of them
-in lock-step (body_norm_many above that dimension); this module chooses the
-points, starts and cutoffs. The inradius estimate above the hull cap walks
-the edges of the polar body from the dual vertex of a gauge LP to a locally
-farthest vertex; sigma_min(Gamma) / sqrt(N) is a certified floor under it.
+in lock-step from crash bases (body_norm_many above that dimension); this
+module chooses the points and cutoffs. The inradius estimate above the hull
+cap walks the edges of the polar body from the dual vertex of a gauge LP to
+a locally farthest vertex; sigma_min(Gamma) / sqrt(N) is a certified floor
+under it.
 At every dimension the max-of-gauges kernel behind operator_norm first
 prunes the images whose gauge an l1 representation proves below the best LP
 value (the floor turns an inexact representation into a bound), and solves
-the rest in solve_l1 batches, warm-started and with an objective cutoff.
+the rest in solve_l1 batches with an objective cutoff.
 
 Bodies are immutable after construction; every operation here is a read-only
 pure function (Monte Carlo ones of their SeedSpec too) and safe to call from
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import IoError, NotInSpan, NumericError, UsageError
 from .linalg import (_inverses, as_matrix, as_vector, format_matrix, parse_matrix, read_text,
-                     write_text)
+                     singular_values, write_text)
 from .linprog import _GAUGE_TOL, _ITER_CAP, _REFACTOR_EVERY, LPSolution, solve_l1
 from .sampler import HaarSubspace, SeedSpec, gaussian_matrix, generator
 
@@ -159,7 +160,7 @@ def body_from_matrix(gamma, seed: SeedSpec = SeedSpec(0, 0)) -> RandomQuotientBo
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise UsageError(f"column {zero[0]} of gamma (counting from 0) is zero")
-    smin = float(np.linalg.svd(g, compute_uv=False)[-1])
+    smin = float(singular_values(g)[-1])
     if smin <= _RANK_TOL:
         raise NumericError(
             f"gamma is rank deficient: smallest singular value {smin:.3e} <= {_RANK_TOL:g} "
@@ -168,11 +169,11 @@ def body_from_matrix(gamma, seed: SeedSpec = SeedSpec(0, 0)) -> RandomQuotientBo
     return RandomQuotientBody(n=n, N=N, gamma=g, seed=seed, column_norms=norms, sigma_min=smin)
 
 
-def _gauges(body: RandomQuotientBody, pts: np.ndarray, cols: np.ndarray | None = None,
+def _gauges(body: RandomQuotientBody, pts: np.ndarray,
             cutoff: float | np.ndarray | None = None) -> list[LPSolution]:
     """solve_l1's verdicts on the gauge LPs of the rows of pts over body.plus_minus
     (the LP is bounded below by 0); NotInSpan for a row outside Gamma's column span."""
-    sols = solve_l1(body.plus_minus, pts, cols, cutoff)
+    sols = solve_l1(body.plus_minus, pts, cutoff)
     if any(sol.status == "infeasible" for sol in sols):
         raise NotInSpan("point lies outside the column span of gamma")
     return sols
@@ -181,67 +182,47 @@ def _gauges(body: RandomQuotientBody, pts: np.ndarray, cols: np.ndarray | None =
 def _max_gauge(body: RandomQuotientBody, points: np.ndarray) -> float:
     """max_i ||x_i||_B over the rows x_i of points; the value is an LP objective.
 
-    Exact pruning: lower_i = max(||x_i||_2 / R, |<x_i, y>| over the optimal
-    duals y found so far) only orders the solves, largest first; upper_i =
-    min over the column sets S of the end bases found so far of
-    ||Gamma_S^-1 x_i||_1, the cost of an l1 representation of x_i in the
-    columns +-g_j. A point whose upper bound is at most the best LP value
-    found is never solved.
+    Every solve is one call of solve_l1 (through _gauges), each row from its
+    crash basis, in order of the lower bound ||x_i||_2 / R, largest first.
+    The point of largest bound is solved alone and sets best. Right after,
+    one _proven_below pass bounds the gauge of every other point by the l1
+    cost of a reweighted least-squares preimage, with no LP; a point whose
+    bound * (1 + 1e-9) is at most best is never solved, and most points are
+    pruned here. The rest are solved together in batches of 2, 4, 8, ... up
+    to _LOCKSTEP_ROWS.
 
-    Certificates: right after the first solve sets best, one _proven_below
-    pass bounds the gauge of every point still unsolved by the l1 cost of a
-    reweighted least-squares preimage, with no LP. A point whose bound
-    * (1 + 1e-9) is at most best is never solved; most points are pruned here.
-
-    Batches: every solve is one call of solve_l1 (through _gauges). The
-    point of largest lower bound is solved alone, from its crash basis. The
-    next unsolved points in lower-bound order are then solved together, in
-    batches of 2, 4, 8, ... up to _LOCKSTEP_ROWS. After each batch every end
-    basis tightens the upper bounds and every optimal dual raises the lower
-    bounds of the unsolved points.
-
-    Warm start: each point starts from the column set S that gives its upper
-    bound. The columns come in +- pairs, so solve_l1 signs S into a primal-
-    feasible basis for any x (a numerically singular S goes to phase 1).
-
-    Cut solves: once best > 0 a solve may stop at a feasible basis of
-    objective <= best (solve_lp's cutoff, in a batch too). Its column set
-    tightens the upper bounds like an optimal one, the cut point's own
-    included: the point is pruned by its l1 cost or, if that stays above
-    best, solved again without a cutoff. best and the lower bounds come only
-    from optimal solves.
+    Cut solves: after the first, a solve may stop at a feasible basis S of
+    objective <= best (solve_lp's cutoff, tested on the perturbed RHS). The
+    cut point x is pruned if the l1 cost ||Gamma_S^-1 x||_1 of S on the exact
+    RHS, an upper bound on its gauge, is at most best; otherwise it is solved
+    again without a cutoff. best comes only from optimal solves.
     """
     pts = points[np.any(points, axis=1)]
     if pts.shape[0] == 0:
         return 0.0
-    lower = np.linalg.norm(pts, axis=1) / body.circumradius
-    upper = np.full(pts.shape[0], np.inf)
-    starts = np.zeros(pts.shape, dtype=np.int64)
+    order = np.argsort(-np.linalg.norm(pts, axis=1) / body.circumradius, kind="stable")
     unsolved = np.ones(pts.shape[0], dtype=bool)
     cut = np.zeros(pts.shape[0], dtype=bool)
     best = 0.0
     size = 1
     while True:
-        unsolved &= upper > best
-        live = np.flatnonzero(unsolved)
-        if live.size == 0:
+        idx = order[unsolved[order]][:size]
+        if idx.size == 0:
             return best
-        idx = live[np.argsort(-lower[live], kind="stable")[:size]]
         first = best == 0.0  # the first solve: alone, never cut, then the certificate pass
-        cutoff = np.where(cut[idx] | first, -np.inf, best)
-        sols = _gauges(body, pts[idx], None if first else starts[idx], cutoff)
+        sols = _gauges(body, pts[idx], np.where(cut[idx] | first, -np.inf, best))
         size = min(2 * size, _LOCKSTEP_ROWS)
         cut[idx] = [sol.status == "cutoff" for sol in sols]
         unsolved[idx[~cut[idx]]] = False
-        optimal = [sol for sol in sols if sol.status == "optimal"]
-        if optimal:
-            best = max(best, *(float(sol.objective_value) for sol in optimal))
-            duals = np.array([sol.dual_point for sol in optimal])
-            np.maximum(lower, np.abs(pts @ duals.T).max(axis=1), out=lower)
-        _tighten_upper(body, pts, np.array([sol.basis for sol in sols]) % body.N,
-                       np.flatnonzero(unsolved), upper, starts)
+        best = max([best, *(float(sol.objective_value) for sol in sols if sol.status == "optimal")])
+        at = idx[cut[idx]]
+        if at.size:
+            sets = np.array([sol.basis % body.N for sol in sols if sol.status == "cutoff"])
+            inv, usable = _inverses(body.gamma[:, sets].transpose(1, 0, 2))
+            cost = np.abs(inv @ pts[at, :, None]).sum(axis=(1, 2))
+            unsolved[at[usable & (cost <= best)]] = False
         if first:
-            rest = np.flatnonzero(unsolved & (upper > best))
+            rest = np.flatnonzero(unsolved)
             unsolved[rest] = ~_proven_below(body, pts[rest], best)
 
 
@@ -261,7 +242,7 @@ def _proven_below(body: RandomQuotientBody, pts: np.ndarray, best) -> np.ndarray
     max_i |x_i| into [1/2, 1), which is exact, so no bound underflows or
     overflows. Gamma W Gamma^T is one product of the weights with the packed
     outer products g_j g_j^T, and the rows go in chunks of about 2^14
-    coefficients per temporary, as in _tighten_upper.
+    coefficients per temporary.
     """
     g = body.gamma
     n, big_n = g.shape
@@ -297,31 +278,6 @@ def _proven_below(body: RandomQuotientBody, pts: np.ndarray, best) -> np.ndarray
             if rows.size == 0:
                 break
     return proven
-
-
-def _tighten_upper(body: RandomQuotientBody, pts: np.ndarray, cols: np.ndarray,
-                   rest: np.ndarray, upper: np.ndarray, starts: np.ndarray) -> None:
-    """Lower upper[i] to min over the column sets S (rows of cols) of
-    ||Gamma_S^-1 x_i||_1 for the points x_i = pts[i], i in rest, and set
-    starts[i] to the set that gives the minimum.
-    The sets go in chunks of at most 2^14 coefficients (one set at least):
-    a large batch's bound update then takes about the memory of the copies
-    one solve_lp call makes, not one coefficient block per set."""
-    if rest.size == 0:
-        return
-    cols = np.sort(cols, axis=1)
-    x = pts[rest].T
-    at = np.arange(rest.size)
-    step = max(1, (1 << 14) // (body.n * rest.size))
-    for lo in range(0, cols.shape[0], step):
-        sets = cols[lo:lo + step]
-        coeffs = np.linalg.inv(body.gamma[:, sets].transpose(1, 0, 2)) @ x
-        cost = np.abs(coeffs).sum(axis=1)
-        k = cost.argmin(axis=0)
-        low = cost[k, at]
-        better = np.flatnonzero(low < upper[rest])
-        upper[rest[better]] = low[better]
-        starts[rest[better]] = sets[k[better]]
 
 
 def body_norm_with_dual(body: RandomQuotientBody, x) -> tuple[float, np.ndarray]:
@@ -386,15 +342,14 @@ def dual_norm_many(body: RandomQuotientBody, us) -> np.ndarray:
 def operator_norm(body: RandomQuotientBody, t) -> float:
     """||T: X_n -> X_n|| = max_j ||T g_j||_B, exact on the hull's extreme points.
 
-    The maximum runs through _max_gauge: the image of largest lower bound is
-    solved first, by the scalar LP; then images whose gauge is proven below
-    that value, by an l1 representation found by reweighted least squares or
-    by the column set of a solved basis, are pruned with no LP. The rest are
-    solved largest lower bound first in lock-step batches of 2, 4, 8, ...
-    images, each warm-started from a sign-flipped basis of an earlier solve.
-    A solve stops early (is cut) once its basis cannot beat the best gauge; a
-    cut image is then pruned by the l1 cost of that basis or solved again.
-    The result is the objective of one of the LPs solved to optimality.
+    The maximum runs through _max_gauge: the image of largest lower bound
+    |T g_j| / R is solved first, by the scalar LP; then images whose gauge an
+    l1 representation found by reweighted least squares proves below that
+    value are pruned with no LP. The rest are solved largest lower bound
+    first in lock-step batches of 2, 4, 8, ... images, each from its crash
+    basis. A solve stops early (is cut) once its basis cannot beat the best
+    gauge; a cut image is then pruned by the l1 cost of that basis or solved
+    again. The result is the objective of one of the LPs solved to optimality.
     """
     tm = as_matrix(t, "T")
     if tm.shape != (body.n, body.n):

@@ -31,7 +31,7 @@ from .body import (RandomQuotientBody, _column_gauge, _max_gauge, _max_on_line, 
                    body_norm_many, section_distortion)
 from .errors import ConditionFailed, IoError, UsageError
 from .linalg import (check_orthonormal, format_matrix, json_field, orthonormalize, parse_matrix,
-                     read_json, write_text)
+                     read_json, singular_values, write_text)
 from .sampler import HaarSubspace, SeedSpec, generator, haar_subspace
 
 __all__ = [
@@ -170,8 +170,7 @@ def _measure_l1(body: RandomQuotientBody, a: np.ndarray, stream: SeedSpec,
     block = body.gamma[:, a]
     normalized = block / body.column_norms[a]
     # a wide block (k > n) cannot be injective: its k-th singular value is 0
-    sigma_min = 0.0 if k > body.n else float(
-        np.linalg.svd(normalized, compute_uv=False)[-1])
+    sigma_min = 0.0 if k > body.n else float(singular_values(normalized)[-1])
     if sigma_min < el2_threshold:
         raise ConditionFailed("el2", f"sigma_min {sigma_min:.6g} < {el2_threshold:g}",
                               {"sigma_min": sigma_min, "threshold": el2_threshold, "k": k})
@@ -260,8 +259,8 @@ def complementation_norm(body: RandomQuotientBody, basis) -> float:
     Extreme-point formula: the norm is attained at some vertex g_j, so it is
     max_j ||P g_j||_B, taken by _max_gauge's exact pruned maximum as in
     operator_norm: after the first LP most images are pruned by l1
-    certificates, and the value is the objective of an LP solved to
-    optimality.
+    certificates, the rest are solved from crash bases with the best gauge
+    as cutoff, and the value is the objective of an LP solved to optimality.
     """
     b = check_orthonormal(basis, name="subspace basis")
     if b.shape[0] != body.n:

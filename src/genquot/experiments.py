@@ -43,7 +43,7 @@ from .body import (VOLUME_DIM_CAP, make_body, mean_width, operator_norm, radii,
 from .constructions import (DEFAULT_C_CAL, DEFAULT_EL2_THRESHOLD, find_l1_subspace,
                             find_l2_subspace, verify_witness)
 from .errors import ConditionFailed, FitError, IoError, NumericError, UsageError
-from .linalg import json_field, read_json, write_text
+from .linalg import json_field, read_json, singular_values, svd, write_text
 from .sampler import SeedSpec, gaussian_matrix, haar_subspace
 from .snumbers import gelfand_sum_bracket, hs_of_normalized, min_over_shifts, mn_witness_check
 
@@ -327,7 +327,7 @@ def _lemma_b_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> 
     hi = cfg.threshold("lemmaB_sv_high")
     sd = _seed(cfg, ci, t)
     lam = gaussian_matrix(big_n, k, 1.0, sd)
-    svs = np.linalg.svd(lam, compute_uv=False) / np.sqrt(big_n)
+    svs = singular_values(lam) / np.sqrt(big_n)
     return {
         "cell": _cell_label(cell), "k": k, "N": big_n, "trial": t,
         "stream": sd.stream_index,
@@ -468,11 +468,11 @@ def _fact31_trial(cfg: SuiteConfig, ci: int, cell: tuple[int, int], t: int) -> d
         _, min_g = section_distortion(body, sub, 200, sd.child(3 + 2 * i))
         rec[f"section_C_codim{codim}"] = 1.0 / (min_g * mw * math.sqrt(n / codim))
     t_op = gaussian_matrix(n, n, 1.0, sd.child(8))
-    dec = np.linalg.svd(t_op)
+    right = svd(t_op).right_basis
     gamma_best = 0.0
     kk = 1
     while kk <= n // 2:
-        f_basis = dec[2].T[:, :kk]
+        f_basis = right[:, :kk]
         wit = mn_witness_check(t_op, f_basis, beta=0.0)
         gamma_best = max(gamma_best, kk * wit.achieved)
         kk *= 2

@@ -111,7 +111,7 @@ class LPSolution:
     objective_value: float | None = None
     dual_point: np.ndarray | None = None
     iterations: int = 0
-    basis: np.ndarray | None = None  # optimal or cutoff basis labels, reusable as a warm start
+    basis: np.ndarray | None = None  # optimal or cutoff basis labels
 
 
 class _Simplex:
@@ -337,21 +337,19 @@ def _certified(a, b, sign, c, basis, keep, iterations) -> LPSolution:
                       dual_point=dual, iterations=iterations, basis=basis)
 
 
-def _crash_bases(g: np.ndarray, xs: np.ndarray,
-                 cols: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+def _crash_bases(g: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, ...]:
     """Crash start of the l1 gauge LP over [G, -G] (G = g, n x N) of each row
-    x of xs: the given column set (a row of cols), or the n columns of largest
-    |<x, g_j>|, the dual constraints nearest to tight at the feasible dual
-    x / max_j |<x, g_j>|. Column j gets label j or N + j as x's coefficient
-    (for solve_lp's perturbed RHS) is >= 0 or < 0, so the basis is primal
-    feasible. Returns the labels, basis inverses, basic values, perturbed RHS
-    rows and a mask of the rows whose basis matrix is usable (_inverses)."""
+    x of xs: the n columns of largest |<x, g_j>|, the dual constraints nearest
+    to tight at the feasible dual x / max_j |<x, g_j>|. Column j gets label j
+    or N + j as x's coefficient (for solve_lp's perturbed RHS) is >= 0 or < 0,
+    so the basis is primal feasible. Returns the labels, basis inverses, basic
+    values, perturbed RHS rows and a mask of the rows whose basis matrix is
+    usable (_inverses)."""
     n, big_n = g.shape
     sign = np.where(xs < 0, -1.0, 1.0)
     xp = sign * _perturbed(xs * sign)
-    if cols is None:
-        corr = np.abs(xs @ g)
-        cols = np.sort(np.argpartition(-corr, n - 1, axis=1)[:, :n], axis=1)
+    corr = np.abs(xs @ g)
+    cols = np.sort(np.argpartition(-corr, n - 1, axis=1)[:, :n], axis=1)
     inv, usable = _inverses(g.T[cols].transpose(0, 2, 1))
     coeffs = (inv @ xp[:, :, None])[:, :, 0]
     labels = np.where(coeffs >= 0, cols, cols + big_n)
@@ -359,25 +357,25 @@ def _crash_bases(g: np.ndarray, xs: np.ndarray,
     return labels, binv, np.abs(coeffs), xp, usable
 
 
-def solve_l1(a: np.ndarray, xs: np.ndarray, cols: np.ndarray | None = None,
+def solve_l1(a: np.ndarray, xs: np.ndarray,
              cutoff: float | np.ndarray | None = None) -> list[LPSolution]:
     """solve_lp's verdict on the gauge LP min ||t||_1 s.t. G t = x of each row
     x of xs, over a = [G, -G] (label j for +g_j, N + j for -g_j), c = 1.
 
-    Each row starts from its _crash_bases start (its row of cols, or the
-    crash columns); cutoff (one, or one per row; None or -inf for none) is
-    solve_lp's. One row is solve_lp from that start. Two or more run phase 2
-    in lock-step by solve_lp's rules (Dantzig, the _PIV_TOL ratio test with
-    ties to the smallest label, rank-1 inverse updates, a refactor every
-    _REFACTOR_EVERY pivots), pricing both labels of column j of every row by
-    one product <g_j, y>, y = B^-T 1. A row leaves the batch as "cutoff" when
-    its basic values sum to at most its cutoff, as "optimal" through
-    _certified when it prices optimal, and into _Simplex from its basis and
-    inverse when it is the last live row or its degenerate streak exceeds
-    _DEGEN_STREAK (then with Bland's rule). A row whose start is unusable,
-    whose ratio test or refactor fails, or whose certificate fails is solved
-    by solve_lp from its start. iterations counts a row's pricing passes
-    wherever they ran; SolverStall after _ITER_CAP * (m + v) of them.
+    Each row starts from its _crash_bases start; cutoff (one, or one per row;
+    None or -inf for none) is solve_lp's. One row is solve_lp from that
+    start. Two or more run phase 2 in lock-step by solve_lp's rules
+    (Dantzig, the _PIV_TOL ratio test with ties to the smallest label, rank-1
+    inverse updates, a refactor every _REFACTOR_EVERY pivots), pricing both
+    labels of column j of every row by one product <g_j, y>, y = B^-T 1. A
+    row leaves the batch as "cutoff" when its basic values sum to at most its
+    cutoff, as "optimal" through _certified when it prices optimal, and into
+    _Simplex from its basis and inverse when it is the last live row or its
+    degenerate streak exceeds _DEGEN_STREAK (then with Bland's rule). A row
+    whose start is unusable, whose ratio test or refactor fails, or whose
+    certificate fails is solved by solve_lp from its start. iterations counts
+    a row's pricing passes wherever they ran; SolverStall after
+    _ITER_CAP * (m + v) of them.
     """
     m, v = a.shape
     big_n = v // 2
@@ -385,7 +383,7 @@ def solve_l1(a: np.ndarray, xs: np.ndarray, cols: np.ndarray | None = None,
     c = np.ones(v)
     max_iter = _ITER_CAP * (m + v)
     limit = np.broadcast_to(-np.inf if cutoff is None else cutoff, xs.shape[:1])
-    starts, binv, xb, rhs, usable = _crash_bases(g, xs, cols)
+    starts, binv, xb, rhs, usable = _crash_bases(g, xs)
 
     def finish(i, basis, status, passes, inverse=None, streak=0) -> LPSolution:
         # the verdict of row i, which left the batch with status after passes

@@ -54,6 +54,16 @@ def svd_fails_on_square(monkeypatch):
 
 
 @pytest.fixture()
+def svd_always_fails(monkeypatch):
+    """np.linalg.svd raises LAPACK's LinAlgError on every input, body matrices included."""
+
+    def svd(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+
+
+@pytest.fixture()
 def cross2():
     return gq.body_from_matrix(np.eye(2))
 

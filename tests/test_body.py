@@ -225,6 +225,22 @@ def _spy_solve_lp_starts(monkeypatch) -> list:
     return starts
 
 
+def _start_on(monkeypatch, cols: np.ndarray) -> None:
+    """Start row i of every solve_l1 call from the column set cols[i]: the
+    crash start of row i over Gamma's columns cols[i] alone (whose crash
+    basis is the whole set, signed to be primal feasible), with its labels
+    mapped back to [Gamma, -Gamma]. A singular set is an unusable start."""
+    crash = linprog._crash_bases
+
+    def start(g, xs):
+        n, big_n = g.shape
+        parts = [crash(g[:, s], x[None]) for s, x in zip(cols, xs)]
+        labels = [s[p[0][0] % n] + big_n * (p[0][0] >= n) for s, p in zip(cols, parts)]
+        return (np.array(labels), *(np.concatenate(f) for f in list(zip(*parts))[1:]))
+
+    monkeypatch.setattr(linprog, "_crash_bases", start)
+
+
 def _refuse_batch_certificates(monkeypatch, refused: list, which) -> list:
     """Fail the k-th certificate of a lock-step row (one not inside solve_lp)
     when which(k), appending the row's RHS bytes to refused. Returns the list
@@ -254,7 +270,7 @@ def _refuse_batch_certificates(monkeypatch, refused: list, which) -> list:
 
 
 class TestMaxGaugeKernel:
-    """operator_norm prunes and warm-starts; its value must be the cold maximum."""
+    """operator_norm prunes and cuts solves short; its value must be the cold maximum."""
 
     @pytest.mark.parametrize("n,big_n", [(8, 16), (8, 64), (16, 32), (16, 128), (16, 256),
                                          (24, 576)])
@@ -290,18 +306,52 @@ class TestMaxGaugeKernel:
         cold = max(gq.body_norm(body, x) for x in (t @ body.gamma).T)
         solves: dict[bytes, int] = {}
         cuts = {"scalar": [], "batch": []}
+        best, above_best = 0.0, set()
 
-        def forced(b, pts, cols=None, cutoff=None):
-            sols = _gauges(b, pts, cols, np.where(np.asarray(cutoff) > -np.inf, np.inf, -np.inf))
+        def forced(b, pts, cutoff=None):
+            nonlocal best
+            sols = _gauges(b, pts, np.where(np.asarray(cutoff) > -np.inf, np.inf, -np.inf))
+            best = max([best] + [sol.objective_value for sol in sols if sol.status == "optimal"])
             for x, sol in zip(pts, sols):
                 solves[x.tobytes()] = solves.get(x.tobytes(), 0) + 1
                 cuts["scalar" if len(pts) == 1 else "batch"].append(sol.status == "cutoff")
+                # the l1 cost of the cut basis on the exact x, against best after the call
+                if sol.status == "cutoff" and np.abs(
+                        np.linalg.solve(b.gamma[:, sol.basis % b.N], x)).sum() > best:
+                    above_best.add(x.tobytes())
             return sols
 
         monkeypatch.setattr(body_module, "_gauges", forced)
         monkeypatch.setattr(body_module, "_proven_below", _prunes_nothing)  # keep the batches
         assert gq.operator_norm(body, t) == cold
         assert any(cuts["batch"]) and max(solves.values()) == 2
+        # a cut image is solved again exactly when its cut basis costs more than best
+        assert above_best and {x for x, k in solves.items() if k == 2} == above_best
+
+    def test_cut_images_are_settled_by_their_own_basis(self, monkeypatch):
+        # with no certificate pass the batches cut images; the l1 cost of its own cut
+        # basis proves each one below the best gauge, so none is solved twice, and the
+        # maximum has the bytes of a run with no cutoff at all
+        body = gq.make_body(24, 576, seed(159))
+        t = _operators(24, 159)["gaussian"]
+        monkeypatch.setattr(body_module, "_proven_below", _prunes_nothing)
+        solves: dict[bytes, int] = {}
+        statuses = []
+
+        def spy(b, pts, cutoff=None):
+            sols = _gauges(b, pts, cutoff)
+            for x, sol in zip(pts, sols):
+                solves[x.tobytes()] = solves.get(x.tobytes(), 0) + 1
+                statuses.append(sol.status)
+            return sols
+
+        with monkeypatch.context() as m:
+            m.setattr(body_module, "_gauges", spy)
+            value = gq.operator_norm(body, t)
+        assert statuses.count("cutoff") > len(statuses) // 2 and max(solves.values()) == 1
+        with monkeypatch.context() as m:
+            m.setattr(body_module, "_gauges", lambda b, pts, cutoff=None: _gauges(b, pts))
+            assert gq.operator_norm(body, t) == value
 
     @pytest.mark.parametrize("n,big_n", [(8, 64), (16, 256)])
     def test_rows_a_batch_leaves_go_to_the_scalar_lp(self, n, big_n, monkeypatch):
@@ -309,20 +359,24 @@ class TestMaxGaugeKernel:
         t = _operators(n, 158 + big_n)["gaussian"]
         cold = max(gq.body_norm(body, x) for x in (t @ body.gamma).T)
         left: list[bytes] = []
+        lone_or_left: list[bytes] = []
         crash_bases = linprog._crash_bases
 
-        def every_other_start_unusable(g, pts, cols=None):
-            *start, usable = crash_bases(g, pts, cols)
+        def every_other_start_unusable(g, pts):
+            *start, usable = crash_bases(g, pts)
             if len(pts) > 1:
                 usable[1::2] = False
                 left.extend(x.tobytes() for x in pts[1::2])
+            lone_or_left.extend(x.tobytes() for x in pts[~usable | (len(pts) == 1)])
             return (*start, usable)
 
         monkeypatch.setattr(linprog, "_crash_bases", every_other_start_unusable)
         scalar = _refuse_batch_certificates(monkeypatch, [], lambda k: False)
         monkeypatch.setattr(body_module, "_proven_below", _prunes_nothing)  # keep the batches
         assert gq.operator_norm(body, t) == cold
-        assert left and scalar[1:] == left  # after the first image, exactly the rows left
+        # a lone image (the first, or a batch of one) is solve_lp from its start; of
+        # the batches of two or more, exactly the rows left
+        assert left and scalar == lone_or_left
 
     def test_identity_ties_within_roundoff(self):
         # every g_j has gauge exactly 1: the maximum is decided by roundoff
@@ -350,7 +404,9 @@ class TestMaxGaugeKernel:
         monkeypatch.setattr(linprog, "_warm_basis", spy)
         # a start on columns {0, 10, 1, 2} has a singular Gamma_S: solve_l1 does not
         # use it, and solve_lp given it as a basis rejects it; both run phase 1
-        sol = _gauges(body, x[None], np.array([[0, 10, 1, 2]]))[0]
+        with monkeypatch.context() as m:
+            _start_on(m, np.array([[0, 10, 1, 2]]))
+            sol = _gauges(body, x[None])[0]
         assert starts == [None] and verdicts == []
         direct = linprog.solve_lp(linprog.LPProblem(body.plus_minus, x, np.ones(22)),
                                   start_basis=np.array([0, 10, 1, 2]))
@@ -422,9 +478,9 @@ class TestProvenBelow:
         cold = max(gq.body_norm(body, x) for x in images)
         lp_rows: set[bytes] = set()
 
-        def gauges_spy(b, pts, cols=None, cutoff=None):
+        def gauges_spy(b, pts, cutoff=None):
             lp_rows.update(x.tobytes() for x in pts)
-            return _gauges(b, pts, cols, cutoff)
+            return _gauges(b, pts, cutoff)
 
         monkeypatch.setattr(body_module, "_gauges", gauges_spy)
         assert gq.operator_norm(body, t) == cold
@@ -479,19 +535,15 @@ class TestLockstepGauges:
 
     @pytest.mark.parametrize("n,big_n", [(8, 64), (16, 256), (24, 576)])
     def test_warm_labels_and_cutoff(self, n, big_n):
-        # every row starts from the optimal column set of another point's LP,
-        # signed by solve_l1; a third run without a cutoff, the rest with one
+        # every row starts from its crash basis; a third run without a cutoff, the
+        # rest with one, and the labels of a cut basis are a feasible basis
         body = gq.make_body(n, big_n, seed(174, n))
         dirs = _section_directions(n, 24, 175 + n)
-        cols = np.sort(_gauges(body, dirs[-1][None])[0].basis % big_n)
         gauges = np.array([gq.body_norm(body, x) for x in dirs])
         cutoff = np.where(np.arange(len(dirs)) % 3 == 0, -np.inf, np.median(gauges))
-        cutoff[-1] = -np.inf
-        sols = solve_l1(body.plus_minus, dirs, np.tile(cols, (len(dirs), 1)), cutoff)
+        sols = solve_l1(body.plus_minus, dirs, cutoff)
         statuses = [sol.status for sol in sols]
         assert "optimal" in statuses and "cutoff" in statuses
-        # the last row starts at its own optimal basis: one pricing pass proves it
-        assert sols[-1].iterations == 1 and sols[-1].objective_value == gauges[-1]
         for x, sol, limit, gauge in zip(dirs, sols, cutoff, gauges):
             if sol.status == "optimal":
                 assert sol.objective_value.hex() == gauge.hex()
@@ -510,9 +562,10 @@ class TestLockstepGauges:
         dirs = _section_directions(8, 3, 177)
         cols = np.tile(np.arange(1, 9), (3, 1))
         cols[1, :2] = [0, 40]  # a singular Gamma_S
+        _start_on(monkeypatch, cols)
         starts = _spy_solve_lp_starts(monkeypatch)
         # a cutoff of inf ends every row at its first feasible basis
-        sols = solve_l1(body.plus_minus, dirs, cols, np.inf)
+        sols = solve_l1(body.plus_minus, dirs, np.inf)
         assert starts == [None]  # row 1 only, by solve_lp from phase 1
         assert sols[1].status == "cutoff" and sols[1].iterations > 0
         for sol in (sols[0], sols[2]):
@@ -577,8 +630,9 @@ class TestLockstepGauges:
             return run(sim, *args)
 
         monkeypatch.setattr(linprog._Simplex, "run", run_spy)
+        _start_on(monkeypatch, np.tile(cols, (2, 1)))
         starts = _spy_solve_lp_starts(monkeypatch)
-        sols = solve_l1(body.plus_minus, dirs, np.tile(cols, (2, 1)))
+        sols = solve_l1(body.plus_minus, dirs)
         assert runs == [1] and starts == []
         assert sols[0].iterations == 1 and sols[1].iterations > 1  # the tail's passes count
         values = np.array([sol.objective_value for sol in sols])
@@ -628,9 +682,9 @@ class TestColumnGauge:
         assert np.abs((x / (x @ x)) @ body.gamma).max() > 3.0  # <g_0, y> = 1 / 0.3
         solved = []
 
-        def gauges_spy(b, pts, cols=None, cutoff=None):
+        def gauges_spy(b, pts, cutoff=None):
             solved.append(pts.tobytes())
-            return _gauges(b, pts, cols, cutoff)
+            return _gauges(b, pts, cutoff)
 
         monkeypatch.setattr(body_module, "_gauges", gauges_spy)
         value = _column_gauge(body, 1296)
@@ -732,8 +786,8 @@ class TestRadii:
 
         crash_bases = linprog._crash_bases
 
-        def no_crash(g, pts, cols=None):
-            *start, usable = crash_bases(g, pts, cols)
+        def no_crash(g, pts):
+            *start, usable = crash_bases(g, pts)
             return (*start, np.zeros_like(usable))
 
         monkeypatch.setattr(linprog, "solve_lp", solve_spy)

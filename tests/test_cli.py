@@ -148,6 +148,17 @@ def test_lapack_failure_exits_3(body_file, tmp_path, capsys, svd_fails_on_square
     assert err.strip().splitlines()[-1].startswith("genquot: numeric error: SVD did not converge")
 
 
+def test_sample_lapack_failure_exits_3_with_one_line(tmp_path, capsys, svd_always_fails):
+    # body_from_matrix's smallest singular value
+    assert main(["sample", "--n", "3", "--N", "9", "--seed", "42",
+                 "--out", str(tmp_path / "b.mtx")]) == 3
+    # the config log line, then one message line
+    config, message = capsys.readouterr().err.strip().splitlines()
+    assert config.startswith("genquot sample config: ")
+    assert message.startswith("genquot: numeric error: SVD did not converge")
+    assert not (tmp_path / "b.mtx").exists()
+
+
 def _assert_usage_error_line(err: str):
     # one message line after the config log line, never a traceback
     assert "Traceback" not in err

@@ -235,9 +235,9 @@ class TestLineWitness:
         calls = []
         gauges, solve = body_module._gauges, linprog.solve_lp
 
-        def gauges_spy(b, pts, cols=None, cutoff=None):
-            calls.append(("gauge", pts.tobytes(), cols is None))
-            return gauges(b, pts, cols, cutoff)
+        def gauges_spy(b, pts, cutoff=None):
+            calls.append(("gauge", pts.tobytes(), cutoff is None))
+            return gauges(b, pts, cutoff)
 
         def solve_spy(*args, **kwargs):
             calls.append(("solve",))
@@ -280,9 +280,9 @@ class TestLineWitness:
         solved = []
         gauges = body_module._gauges
 
-        def spy(b, pts, cols=None, cutoff=None):
+        def spy(b, pts, cutoff=None):
             solved.append(pts.tobytes())
-            return gauges(b, pts, cols, cutoff)
+            return gauges(b, pts, cutoff)
 
         monkeypatch.setattr(body_module, "_gauges", spy)
         wit = gq.find_l2_subspace(body, h=1, seed=seed(135, n))

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import importlib
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +48,29 @@ def test_package_exports_every_module_public_name(module):
 def test_errors_all_lists_every_error_class():
     assert set(gq.errors.__all__) == {cls.__name__ for cls in
                                       [gq.GenquotError, *_subclasses(gq.GenquotError)]}
+
+
+def _numpy_svd_uses(source: str) -> list[int]:
+    """Lines of a module that name numpy's SVD: np.linalg.svd (or numpy.linalg.svd)
+    as an attribute, or an import of svd from numpy.linalg."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "svd"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+              and any(alias.name == "svd" for alias in node.names)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_linalg_calls_numpy_svd():
+    # linalg.svd and linalg.singular_values turn LAPACK's LinAlgError into NumericError;
+    # a direct np.linalg.svd elsewhere would let it escape as a traceback
+    package = Path(gq.__file__).parent
+    uses = {path.name: _numpy_svd_uses(path.read_text()) for path in sorted(package.glob("*.py"))
+            if path.name != "linalg.py"}
+    assert "body.py" in uses and "experiments.py" in uses
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+    assert _numpy_svd_uses("import numpy as np\nnp.linalg.svd(a)\n") == [2]
+    assert _numpy_svd_uses((package / "linalg.py").read_text())

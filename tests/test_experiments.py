@@ -323,6 +323,17 @@ class TestSmallSuiteRuns:
         assert rep.trials[0]["error"].startswith("NumericError: SVD did not converge")
         assert not rep.passed
 
+    def test_fact31_lapack_failure_is_a_trial_error(self, svd_fails_on_square):
+        # the body's SVD (n < N) succeeds; the square T's fails inside the trial
+        rep = gq.run_suite(tiny("fact31", trials=1, samples=1_000, size_grid=((6, 24),)))
+        assert rep.aggregate["error_count"] == 1 and len(rep.trials) == 1
+        assert rep.trials[0]["error"].startswith("NumericError: SVD did not converge")
+
+    def test_lemma_b_lapack_failure_is_a_trial_error(self, svd_always_fails):
+        rep = gq.run_suite(tiny("lemmaB", trials=1, size_grid=((5, 10),)))
+        assert rep.aggregate["error_count"] == 1 and len(rep.trials) == 1
+        assert rep.trials[0]["error"].startswith("NumericError: SVD did not converge")
+
     def test_hsbound_small(self):
         rep = gq.run_suite(tiny("hsbound", trials=5, size_grid=((6, 24),)))
         assert rep.passed
